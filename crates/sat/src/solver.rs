@@ -2,7 +2,7 @@
 
 mod simplify;
 
-use crate::clause::{ClauseDb, ClauseRef, Tier, CORE_LBD_MAX, MID_LBD_MAX};
+use crate::clause::{ClauseDb, ClauseRef, Tier, CORE_LBD_MAX, MAX_OFFSET, MID_LBD_MAX};
 use crate::drat::ProofStep;
 use crate::heap::VarHeap;
 use crate::lit::{Lit, Var};
@@ -74,8 +74,9 @@ pub struct SolverStats {
     pub deleted_clauses: u64,
     /// Number of clause-arena compactions performed.
     pub compactions: u64,
-    /// High-water mark of clause-arena bytes (slot vector + literal
-    /// storage, tombstones included until compaction reclaims them).
+    /// High-water mark of the clause arena's allocated capacity in bytes
+    /// (tombstones and in-place slack included until compaction reclaims
+    /// them).
     pub peak_arena_bytes: usize,
     /// Number of emergency learnt-clause purges forced by the memory
     /// limit ([`Solver::set_memory_limit`]).
@@ -104,17 +105,39 @@ pub struct SolverStats {
     pub tier_local: usize,
 }
 
+/// A watch-list entry, 8 bytes.
 #[derive(Clone, Copy, Debug)]
 struct Watcher {
-    cref: ClauseRef,
+    /// Clause offset; the top bit ([`Watcher::BINARY`]) marks a clause of
+    /// exactly two literals (inlined fast path).
+    cref: u32,
     /// A literal of the clause other than the watched one; if it is already
     /// true the clause is satisfied and the watcher need not be inspected.
     /// For binary clauses this is *the* other literal, so propagation
     /// resolves entirely from the watcher without touching the clause
     /// arena (the hottest path in the solver).
     blocker: Lit,
-    /// Whether the clause has exactly two literals (inlined fast path).
-    binary: bool,
+}
+
+impl Watcher {
+    const BINARY: u32 = 1 << 31;
+
+    fn new(cref: ClauseRef, blocker: Lit, binary: bool) -> Self {
+        debug_assert!(cref.0 as usize <= MAX_OFFSET);
+        let flag = if binary { Self::BINARY } else { 0 };
+        Watcher {
+            cref: cref.0 | flag,
+            blocker,
+        }
+    }
+
+    fn cref(self) -> ClauseRef {
+        ClauseRef(self.cref & !Self::BINARY)
+    }
+
+    fn is_binary(self) -> bool {
+        self.cref & Self::BINARY != 0
+    }
 }
 
 /// Record of one bounded-variable-elimination step: the variable and
@@ -142,8 +165,10 @@ pub struct Solver {
     db: ClauseDb,
     /// `watches[l.code()]` — clauses currently watching literal `l`.
     watches: Vec<Vec<Watcher>>,
-    /// Per variable: 0 unassigned, 1 true, -1 false.
-    assigns: Vec<i8>,
+    /// `vals[l.code()]` — value of literal `l`: 0 unassigned, 1 true,
+    /// -1 false. Both polarities are stored, so reading a literal's value
+    /// is one load with no sign branch.
+    vals: Vec<i8>,
     /// Saved phase for phase-saving polarity selection.
     phase: Vec<bool>,
     level: Vec<u32>,
@@ -156,6 +181,18 @@ pub struct Solver {
     /// Indexed max-heap over variable activities.
     heap: VarHeap,
     seen: Vec<bool>,
+    /// Conflict-analysis scratch, reused across conflicts: the learnt
+    /// clause under construction (asserting literal first) …
+    learnt: Vec<Lit>,
+    /// … the variables whose `seen` marks must be cleared afterwards …
+    analyze_clear: Vec<Var>,
+    /// … and the reason-clause stack of recursive minimization.
+    analyze_stack: Vec<ClauseRef>,
+    /// `level_stamp[lvl] == lbd_stamp` marks decision level `lvl` as
+    /// already counted by the LBD computation in progress; one entry per
+    /// decision level ever opened.
+    level_stamp: Vec<u64>,
+    lbd_stamp: u64,
     /// Formula known unsatisfiable at level 0.
     ok: bool,
     model: Vec<i8>,
@@ -204,7 +241,7 @@ impl Solver {
         Solver {
             db: ClauseDb::new(),
             watches: Vec::new(),
-            assigns: Vec::new(),
+            vals: Vec::new(),
             phase: Vec::new(),
             level: Vec::new(),
             reason: Vec::new(),
@@ -215,6 +252,11 @@ impl Solver {
             var_inc: 1.0,
             heap: VarHeap::new(),
             seen: Vec::new(),
+            learnt: Vec::new(),
+            analyze_clear: Vec::new(),
+            analyze_stack: Vec::new(),
+            level_stamp: vec![0],
+            lbd_stamp: 0,
             ok: true,
             model: Vec::new(),
             stats: SolverStats::default(),
@@ -293,12 +335,15 @@ impl Solver {
         self.deadline = None;
     }
 
-    /// Installs a clause-arena byte budget. When the arena grows past it
-    /// the search first performs an emergency reduction — purge every
-    /// unlocked non-binary learnt clause and compact the arena — and only
-    /// if that is not enough does [`Solver::solve_bounded`] stop with
-    /// [`SolveOutcome::MemoryLimit`]. Learnt clauses are redundant, so
-    /// the purge can slow the search down but never change a verdict.
+    /// Installs a clause-arena byte budget, measured as the arena's
+    /// allocated capacity ([`Solver::arena_bytes`]). When the arena grows
+    /// past it the search first performs an emergency reduction — purge
+    /// every unlocked non-binary learnt clause, compact the arena and
+    /// release its spare capacity — and only if that is not enough does
+    /// [`Solver::solve_bounded`] stop with [`SolveOutcome::MemoryLimit`].
+    /// The arena grows by doubling, so a limit is crossed in steps of the
+    /// current capacity. Learnt clauses are redundant, so the purge can
+    /// slow the search down but never change a verdict.
     pub fn set_memory_limit(&mut self, bytes: usize) {
         self.mem_limit = Some(bytes);
     }
@@ -308,8 +353,9 @@ impl Solver {
         self.mem_limit = None;
     }
 
-    /// Bytes currently held by the clause arena (slot vector plus literal
-    /// storage) — the quantity [`Solver::set_memory_limit`] bounds.
+    /// Bytes currently held by the clause arena: the allocated capacity of
+    /// its one word vector, which the arena grows by doubling — the
+    /// quantity [`Solver::set_memory_limit`] bounds.
     pub fn arena_bytes(&self) -> usize {
         self.db.arena_bytes()
     }
@@ -328,14 +374,9 @@ impl Solver {
         self.cancel_until(0);
         let mut learnts = std::mem::take(&mut self.reduce_scratch);
         self.db.learnt_refs_into(&mut learnts);
-        let locked = |s: &Self, r: ClauseRef| {
-            let l0 = s.db.get(r).lits[0];
-            s.value_lit(l0) == 1 && s.reason[l0.var().index()] == Some(r)
-        };
-        learnts.retain(|&r| !(self.db.get(r).len() == 2 || locked(self, r)));
+        learnts.retain(|&r| !(self.db.len(r) == 2 || self.locked(r)));
         for &r in &learnts {
-            let lits = self.db.get(r).lits.clone();
-            self.log_delete(&lits);
+            self.log_delete_clause(r);
             self.detach(r);
             self.db.delete(r);
             self.stats.deleted_clauses += 1;
@@ -396,9 +437,8 @@ impl Solver {
                     }
                 }
                 Some(r) => {
-                    let n = self.db.get(r).len();
-                    for k in 1..n {
-                        let q = self.db.get(r).lits[k];
+                    for k in 1..self.db.len(r) {
+                        let q = self.db.lit(r, k);
                         let qv = q.var().index();
                         if !self.seen[qv] && self.level[qv] > 0 {
                             self.seen[qv] = true;
@@ -443,9 +483,25 @@ impl Solver {
         }
     }
 
+    /// Logs the deletion of a stored clause (no copy when logging is off).
+    fn log_delete_clause(&mut self, r: ClauseRef) {
+        if let Some(p) = &mut self.proof {
+            p.push(ProofStep::Delete(
+                self.db.lits(r).map(Lit::to_dimacs).collect(),
+            ));
+        }
+    }
+
+    /// Whether `r` is the reason of its currently true first literal —
+    /// such a clause must survive every deletion pass.
+    fn locked(&self, r: ClauseRef) -> bool {
+        let l0 = self.db.lit(r, 0);
+        self.value_lit(l0) == 1 && self.reason[l0.var().index()] == Some(r)
+    }
+
     /// Number of allocated variables.
     pub fn num_vars(&self) -> u32 {
-        self.assigns.len() as u32
+        self.level.len() as u32
     }
 
     /// Number of live clauses (original + learnt).
@@ -467,8 +523,8 @@ impl Solver {
 
     /// Allocates a fresh variable; returns its DIMACS number.
     pub fn new_var(&mut self) -> i32 {
-        let v = self.assigns.len() as u32;
-        self.assigns.push(0);
+        let v = self.num_vars();
+        self.vals.extend_from_slice(&[0, 0]);
         self.phase.push(false);
         self.level.push(0);
         self.reason.push(None);
@@ -491,13 +547,14 @@ impl Solver {
         }
     }
 
+    #[inline]
     fn value_lit(&self, l: Lit) -> i8 {
-        let a = self.assigns[l.var().index()];
-        if l.is_neg() {
-            -a
-        } else {
-            a
-        }
+        self.vals[l.code()]
+    }
+
+    /// Value of the variable (that of its positive literal).
+    fn value_var(&self, v: Var) -> i8 {
+        self.vals[v.pos().code()]
     }
 
     fn decision_level(&self) -> u32 {
@@ -583,7 +640,7 @@ impl Solver {
                 if changed {
                     self.log_add(&out);
                 }
-                let r = self.db.alloc(out, false, 0);
+                let r = self.db.alloc(&out, false, 0);
                 self.attach(r);
                 Some(r)
             }
@@ -667,35 +724,23 @@ impl Solver {
     }
 
     fn attach(&mut self, r: ClauseRef) {
-        let (l0, l1, binary) = {
-            let c = self.db.get(r);
-            (c.lits[0], c.lits[1], c.len() == 2)
-        };
-        self.watches[l0.code()].push(Watcher {
-            cref: r,
-            blocker: l1,
-            binary,
-        });
-        self.watches[l1.code()].push(Watcher {
-            cref: r,
-            blocker: l0,
-            binary,
-        });
+        let (l0, l1, binary) = (self.db.lit(r, 0), self.db.lit(r, 1), self.db.len(r) == 2);
+        self.watches[l0.code()].push(Watcher::new(r, l1, binary));
+        self.watches[l1.code()].push(Watcher::new(r, l0, binary));
     }
 
     fn detach(&mut self, r: ClauseRef) {
-        let (l0, l1) = {
-            let c = self.db.get(r);
-            (c.lits[0], c.lits[1])
-        };
-        self.watches[l0.code()].retain(|w| w.cref != r);
-        self.watches[l1.code()].retain(|w| w.cref != r);
+        let (l0, l1) = (self.db.lit(r, 0), self.db.lit(r, 1));
+        self.watches[l0.code()].retain(|w| w.cref() != r);
+        self.watches[l1.code()].retain(|w| w.cref() != r);
     }
 
+    #[inline]
     fn enqueue(&mut self, l: Lit, reason: Option<ClauseRef>) {
         debug_assert_eq!(self.value_lit(l), 0);
         let v = l.var().index();
-        self.assigns[v] = if l.is_neg() { -1 } else { 1 };
+        self.vals[l.code()] = 1;
+        self.vals[l.negate().code()] = -1;
         self.level[v] = self.decision_level();
         self.reason[v] = reason;
         self.trail.push(l);
@@ -717,18 +762,20 @@ impl Solver {
                 let w = ws[i];
                 i += 1;
                 // Fast path: blocker already true.
-                if self.value_lit(w.blocker) == 1 {
+                let blocker_val = self.vals[w.blocker.code()];
+                if blocker_val == 1 {
                     ws[kept] = w;
                     kept += 1;
                     continue;
                 }
+                let cref = w.cref();
                 // Binary clauses resolve entirely from the watcher: the
                 // blocker is the only other literal, so the clause arena is
                 // never touched unless we actually propagate or conflict.
-                if w.binary {
+                if w.is_binary() {
                     ws[kept] = w;
                     kept += 1;
-                    if self.value_lit(w.blocker) == -1 {
+                    if blocker_val == -1 {
                         // Conflict: keep remaining watchers and stop.
                         while i < ws.len() {
                             ws[kept] = ws[i];
@@ -736,59 +783,43 @@ impl Solver {
                             i += 1;
                         }
                         self.qhead = self.trail.len();
-                        conflict = Some(w.cref);
+                        conflict = Some(cref);
                         continue;
                     }
                     // Normalize lits[0] to the implied literal so conflict
                     // analysis and locked-clause checks see the invariant.
-                    {
-                        let c = self.db.get_mut(w.cref);
-                        if c.lits[0] != w.blocker {
-                            c.lits.swap(0, 1);
-                        }
+                    let c = self.db.codes_mut(cref);
+                    if c[0] != w.blocker.0 {
+                        c.swap(0, 1);
                     }
-                    self.enqueue(w.blocker, Some(w.cref));
+                    self.enqueue(w.blocker, Some(cref));
                     continue;
                 }
                 // Normalize: put the false literal at position 1.
-                let (first, lits_len) = {
-                    let c = self.db.get_mut(w.cref);
-                    if c.lits[0] == false_lit {
-                        c.lits.swap(0, 1);
-                    }
-                    debug_assert_eq!(c.lits[1], false_lit);
-                    (c.lits[0], c.lits.len())
-                };
-                if first != w.blocker && self.value_lit(first) == 1 {
-                    ws[kept] = Watcher {
-                        cref: w.cref,
-                        blocker: first,
-                        binary: false,
-                    };
+                let c = self.db.codes_mut(cref);
+                if c[0] == false_lit.0 {
+                    c.swap(0, 1);
+                }
+                debug_assert_eq!(c[1], false_lit.0);
+                let first = Lit(c[0]);
+                if first != w.blocker && self.vals[first.code()] == 1 {
+                    ws[kept] = Watcher::new(cref, first, false);
                     kept += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                for k in 2..lits_len {
-                    let lk = self.db.get(w.cref).lits[k];
-                    if self.value_lit(lk) != -1 {
-                        self.db.get_mut(w.cref).lits.swap(1, k);
-                        self.watches[lk.code()].push(Watcher {
-                            cref: w.cref,
-                            blocker: first,
-                            binary: false,
-                        });
+                for k in 2..c.len() {
+                    let lk = c[k];
+                    if self.vals[lk as usize] != -1 {
+                        c.swap(1, k);
+                        self.watches[lk as usize].push(Watcher::new(cref, first, false));
                         continue 'watchers; // watcher moved; not kept here
                     }
                 }
                 // Clause is unit or conflicting.
-                ws[kept] = Watcher {
-                    cref: w.cref,
-                    blocker: first,
-                    binary: false,
-                };
+                ws[kept] = Watcher::new(cref, first, false);
                 kept += 1;
-                if self.value_lit(first) == -1 {
+                if self.vals[first.code()] == -1 {
                     // Conflict: keep remaining watchers and stop.
                     while i < ws.len() {
                         ws[kept] = ws[i];
@@ -796,9 +827,9 @@ impl Solver {
                         i += 1;
                     }
                     self.qhead = self.trail.len();
-                    conflict = Some(w.cref);
+                    conflict = Some(cref);
                 } else {
-                    self.enqueue(first, Some(w.cref));
+                    self.enqueue(first, Some(cref));
                 }
             }
             ws.truncate(kept);
@@ -812,6 +843,9 @@ impl Solver {
 
     fn new_decision_level(&mut self) {
         self.trail_lim.push(self.trail.len());
+        if self.level_stamp.len() <= self.trail_lim.len() {
+            self.level_stamp.push(0);
+        }
     }
 
     fn cancel_until(&mut self, lvl: u32) {
@@ -823,7 +857,8 @@ impl Solver {
             let l = self.trail[i];
             let v = l.var().index();
             self.phase[v] = !l.is_neg();
-            self.assigns[v] = 0;
+            self.vals[l.code()] = 0;
+            self.vals[l.negate().code()] = 0;
             self.reason[v] = None;
             self.heap.push(v as u32, &self.activity);
         }
@@ -845,26 +880,31 @@ impl Solver {
         self.heap.increased(v.0, &self.activity);
     }
 
-    /// First-UIP conflict analysis. Returns (learnt clause with asserting
-    /// literal first, backtrack level, LBD).
-    fn analyze(&mut self, conflict: ClauseRef) -> (Vec<Lit>, u32, u32) {
-        let mut learnt: Vec<Lit> = Vec::new();
+    /// First-UIP conflict analysis. Leaves the learnt clause in
+    /// `self.learnt` (asserting literal first, highest-level other literal
+    /// second) and returns (backtrack level, LBD). Allocation-free in the
+    /// steady state: every buffer is solver-owned scratch.
+    fn analyze(&mut self, conflict: ClauseRef) -> (u32, u32) {
+        let mut learnt = std::mem::take(&mut self.learnt);
+        let mut to_clear = std::mem::take(&mut self.analyze_clear);
+        learnt.clear();
+        to_clear.clear();
+        // Slot 0 is reserved for the asserting literal, found last.
+        learnt.push(Lit(0));
         let mut path_c: u32 = 0;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
         let mut confl = conflict;
-        let mut to_clear: Vec<Var> = Vec::new();
         let dl = self.decision_level();
 
         loop {
-            if self.db.get(confl).learnt {
+            if self.db.is_learnt(confl) {
                 self.db.bump_activity(confl);
                 self.bump_clause_use(confl);
             }
             let start = usize::from(p.is_some());
-            let nlits = self.db.get(confl).len();
-            for k in start..nlits {
-                let q = self.db.get(confl).lits[k];
+            for k in start..self.db.len(confl) {
+                let q = self.db.lit(confl, k);
                 let v = q.var();
                 if !self.seen[v.index()] && self.level[v.index()] > 0 {
                     self.seen[v.index()] = true;
@@ -893,44 +933,48 @@ impl Solver {
             }
             confl = self.reason[pl.var().index()].expect("resolved literal has a reason");
         }
-        let asserting = p.expect("analysis produces an asserting literal").negate();
+        learnt[0] = p.expect("analysis produces an asserting literal").negate();
 
         // Recursive clause minimization (MiniSat's litRedundant): a
         // literal is redundant if its entire reason tree bottoms out in
         // literals already marked seen (i.e. already in the clause) or at
-        // level 0.
-        let mut minimized: Vec<Lit> = Vec::with_capacity(learnt.len());
-        for &l in &learnt {
+        // level 0. Survivors are compacted in place, keeping their order.
+        let mut kept = 1;
+        for i in 1..learnt.len() {
+            let l = learnt[i];
             if !self.lit_redundant(l, &mut to_clear) {
-                minimized.push(l);
+                learnt[kept] = l;
+                kept += 1;
             }
         }
-        for v in to_clear {
+        learnt.truncate(kept);
+        for &v in &to_clear {
             self.seen[v.index()] = false;
         }
 
-        // Assemble: asserting literal first, highest-level other literal second.
-        let mut clause = Vec::with_capacity(minimized.len() + 1);
-        clause.push(asserting);
-        clause.extend(minimized);
-        let bt_level = if clause.len() == 1 {
+        // Highest-level other literal second.
+        let bt_level = if learnt.len() == 1 {
             0
         } else {
             let mut max_i = 1;
-            for i in 2..clause.len() {
-                if self.level[clause[i].var().index()] > self.level[clause[max_i].var().index()] {
+            for i in 2..learnt.len() {
+                if self.level[learnt[i].var().index()] > self.level[learnt[max_i].var().index()] {
                     max_i = i;
                 }
             }
-            clause.swap(1, max_i);
-            self.level[clause[1].var().index()]
+            learnt.swap(1, max_i);
+            self.level[learnt[1].var().index()]
         };
-        // LBD: number of distinct decision levels in the clause.
-        let mut levels: Vec<u32> = clause.iter().map(|l| self.level[l.var().index()]).collect();
-        levels.sort_unstable();
-        levels.dedup();
-        let lbd = levels.len() as u32;
-        (clause, bt_level, lbd)
+        self.lbd_stamp += 1;
+        let lbd = count_levels(
+            &self.level,
+            &mut self.level_stamp,
+            self.lbd_stamp,
+            learnt.iter().copied(),
+        );
+        self.learnt = learnt;
+        self.analyze_clear = to_clear;
+        (bt_level, lbd)
     }
 
     /// Whether literal `l` (already marked seen) is redundant in the
@@ -944,11 +988,13 @@ impl Solver {
             return false; // decision literal: never redundant
         };
         let top = to_clear.len();
-        let mut stack: Vec<ClauseRef> = vec![root];
-        while let Some(r) = stack.pop() {
-            let n = self.db.get(r).len();
-            for k in 1..n {
-                let q = self.db.get(r).lits[k];
+        let mut stack = std::mem::take(&mut self.analyze_stack);
+        stack.clear();
+        stack.push(root);
+        let mut redundant = true;
+        'search: while let Some(r) = stack.pop() {
+            for k in 1..self.db.len(r) {
+                let q = self.db.lit(r, k);
                 let v = q.var();
                 if self.seen[v.index()] || self.level[v.index()] == 0 {
                     continue;
@@ -961,7 +1007,8 @@ impl Solver {
                             self.seen[sv.index()] = false;
                         }
                         to_clear.truncate(top);
-                        return false;
+                        redundant = false;
+                        break 'search;
                     }
                     Some(qr) => {
                         self.seen[v.index()] = true;
@@ -971,14 +1018,15 @@ impl Solver {
                 }
             }
         }
-        true
+        self.analyze_stack = stack;
+        redundant
     }
 
     fn pick_branch_var(&mut self) -> Option<Var> {
         while !self.heap.is_empty() {
-            let v = self.heap.pop_max(&self.activity).expect("non-empty");
-            if self.assigns[v as usize] == 0 && !self.eliminated[v as usize] {
-                return Some(Var(v));
+            let v = Var(self.heap.pop_max(&self.activity).expect("non-empty"));
+            if self.value_var(v) == 0 && !self.eliminated[v.index()] {
+                return Some(v);
             }
         }
         None
@@ -988,22 +1036,24 @@ impl Solver {
     /// use credits and recomputes its LBD against the current assignment,
     /// promoting it when the glue improved (anything → core, local → mid).
     fn bump_clause_use(&mut self, r: ClauseRef) {
-        let lbd = {
-            let c = self.db.get(r);
-            let mut levels: Vec<u32> = c.lits.iter().map(|l| self.level[l.var().index()]).collect();
-            levels.sort_unstable();
-            levels.dedup();
-            levels.len() as u32
-        };
-        let c = self.db.get_mut(r);
-        c.used = 2;
-        if lbd < c.lbd {
-            c.lbd = lbd;
+        self.lbd_stamp += 1;
+        let lbd = count_levels(
+            &self.level,
+            &mut self.level_stamp,
+            self.lbd_stamp,
+            self.db.lits(r),
+        );
+        self.db.set_used(r, 2);
+        if lbd < self.db.lbd(r) {
+            self.db.set_lbd(r, lbd);
         }
-        if c.lbd <= CORE_LBD_MAX {
-            c.tier = Tier::Core;
-        } else if c.lbd <= MID_LBD_MAX && c.tier == Tier::Local {
-            c.tier = Tier::Mid;
+        let (lbd, tier) = (self.db.lbd(r), self.db.tier(r));
+        if lbd <= CORE_LBD_MAX {
+            if tier != Tier::Core {
+                self.db.set_tier(r, Tier::Core);
+            }
+        } else if lbd <= MID_LBD_MAX && tier == Tier::Local {
+            self.db.set_tier(r, Tier::Mid);
         }
     }
 
@@ -1022,37 +1072,33 @@ impl Solver {
         }
         let mut learnts = std::mem::take(&mut self.reduce_scratch);
         self.db.learnt_refs_into(&mut learnts);
-        // Locked clauses (reasons of current assignments) must stay.
-        let locked = |s: &Self, r: ClauseRef| {
-            let l0 = s.db.get(r).lits[0];
-            s.value_lit(l0) == 1 && s.reason[l0.var().index()] == Some(r)
-        };
         // One pass: spend credits, demote idle mid-tier clauses, and keep
         // only the idle local candidates (compacted into the prefix).
+        // Locked clauses (reasons of current assignments) must stay.
         let mut n_cand = 0;
         for i in 0..learnts.len() {
             let r = learnts[i];
-            if locked(self, r) {
+            if self.locked(r) {
                 continue;
             }
-            let c = self.db.get_mut(r);
-            match c.tier {
+            let used = self.db.used(r);
+            match self.db.tier(r) {
                 Tier::Core => {}
                 Tier::Mid => {
-                    if c.used == 0 {
-                        c.tier = Tier::Local;
-                        if c.len() > 2 {
+                    if used == 0 {
+                        self.db.set_tier(r, Tier::Local);
+                        if self.db.len(r) > 2 {
                             learnts[n_cand] = r;
                             n_cand += 1;
                         }
                     } else {
-                        c.used -= 1;
+                        self.db.set_used(r, used - 1);
                     }
                 }
                 Tier::Local => {
-                    if c.used > 0 {
-                        c.used -= 1;
-                    } else if c.len() > 2 {
+                    if used > 0 {
+                        self.db.set_used(r, used - 1);
+                    } else if self.db.len(r) > 2 {
                         learnts[n_cand] = r;
                         n_cand += 1;
                     }
@@ -1062,46 +1108,40 @@ impl Solver {
         learnts.truncate(n_cand);
         // Delete the worse half: high LBD first, then low activity
         // (total_cmp gives a total order even for degenerate floats).
+        let db = &self.db;
         learnts.sort_by(|&a, &b| {
-            let ca = self.db.get(a);
-            let cb = self.db.get(b);
-            cb.lbd
-                .cmp(&ca.lbd)
-                .then(ca.activity.total_cmp(&cb.activity))
+            db.lbd(b)
+                .cmp(&db.lbd(a))
+                .then(db.activity(a).total_cmp(&db.activity(b)))
         });
         let n = learnts.len() / 2;
         for &r in &learnts[..n] {
-            let lits = self.db.get(r).lits.clone();
-            self.log_delete(&lits);
+            self.log_delete_clause(r);
             self.detach(r);
             self.db.delete(r);
             self.stats.deleted_clauses += 1;
         }
         learnts.clear();
         self.reduce_scratch = learnts;
-        // Long incremental runs accumulate tombstones; once dead slots
-        // outnumber live clauses, compact the arena.
+        // Long incremental runs accumulate tombstones; once dead clauses
+        // outnumber live ones, compact the arena.
         if self.db.num_deleted > self.db.num_live() {
             self.compact();
         }
     }
 
-    /// Reclaims tombstoned clause slots, rewriting every live `ClauseRef`
-    /// (watch lists and propagation reasons) through the arena's
-    /// relocation map. Backtracks to the root level first so no stale
-    /// reason survives above it. Safe to call between `solve` calls;
+    /// Reclaims tombstoned clauses and in-place slack, rewriting every
+    /// live `ClauseRef` (watch lists and propagation reasons) through the
+    /// arena's relocation table. Backtracks to the root level first so no
+    /// stale reason survives above it. Safe to call between `solve` calls;
     /// also triggered automatically from database reduction.
     pub fn compact(&mut self) {
         self.cancel_until(0);
         let map = self.db.compact();
-        let remap = |r: ClauseRef| {
-            let n = map[r.0 as usize];
-            debug_assert_ne!(n, u32::MAX, "live ref points at reclaimed slot");
-            ClauseRef(n)
-        };
+        let remap = |r: ClauseRef| map.get(r).expect("live ref points at a reclaimed clause");
         for ws in &mut self.watches {
             for w in ws.iter_mut() {
-                w.cref = remap(w.cref);
+                *w = Watcher::new(remap(w.cref()), w.blocker, w.is_binary());
             }
         }
         for r in self.reason.iter_mut().flatten() {
@@ -1234,7 +1274,8 @@ impl Solver {
                         continue;
                     }
                 }
-                let (clause, bt, lbd) = self.analyze(confl);
+                let (bt, lbd) = self.analyze(confl);
+                let clause = std::mem::take(&mut self.learnt);
                 self.log_add(&clause);
                 let l = f64::from(lbd);
                 if ema_initialized {
@@ -1250,10 +1291,11 @@ impl Solver {
                     self.enqueue(clause[0], None);
                 } else {
                     let first = clause[0];
-                    let r = self.db.alloc(clause, true, lbd);
+                    let r = self.db.alloc(&clause, true, lbd);
                     self.attach(r);
                     self.enqueue(first, Some(r));
                 }
+                self.learnt = clause;
                 self.var_inc /= 0.95;
                 self.db.decay_activity();
                 if self.stats.conflicts >= self.next_reduce {
@@ -1306,7 +1348,8 @@ impl Solver {
                     None => {
                         // Complete assignment: SAT. Extend the model over
                         // eliminated variables before reporting it.
-                        self.model = self.assigns.clone();
+                        self.model.clear();
+                        self.model.extend(self.vals.iter().step_by(2));
                         self.extend_model();
                         return SolveOutcome::Sat;
                     }
@@ -1360,6 +1403,26 @@ impl Solver {
             pos
         }
     }
+}
+
+/// Number of distinct decision levels among the variables of `lits`
+/// (the LBD), counted by stamping `stamps[level]` with a fresh `stamp`
+/// instead of sorting a copy of the levels.
+fn count_levels(
+    level: &[u32],
+    stamps: &mut [u64],
+    stamp: u64,
+    lits: impl Iterator<Item = Lit>,
+) -> u32 {
+    let mut n = 0;
+    for l in lits {
+        let lvl = level[l.var().index()] as usize;
+        if stamps[lvl] != stamp {
+            stamps[lvl] = stamp;
+            n += 1;
+        }
+    }
+    n
 }
 
 #[cfg(test)]

@@ -100,32 +100,27 @@ impl Solver {
     /// satisfied at the root and strip root-false literals from the
     /// rest, so the later passes only see unassigned literals.
     fn remove_satisfied(&mut self) {
-        for ci in 0..self.db.num_slots() as u32 {
-            let r = ClauseRef(ci);
-            if self.db.get(r).deleted {
+        let mut walk = self.db.walk();
+        while let Some(r) = walk.next(&self.db) {
+            if self.db.is_deleted(r) {
                 continue;
             }
-            let (sat, has_false) = {
-                let c = self.db.get(r);
-                let mut sat = false;
-                let mut f = false;
-                for &l in &c.lits {
-                    match self.value_lit(l) {
-                        1 => sat = true,
-                        -1 => f = true,
-                        _ => {}
-                    }
+            let mut sat = false;
+            let mut has_false = false;
+            for l in self.db.lits(r) {
+                match self.value_lit(l) {
+                    1 => sat = true,
+                    -1 => has_false = true,
+                    _ => {}
                 }
-                (sat, f)
-            };
+            }
             if sat {
-                let lits = self.db.get(r).lits.clone();
-                self.log_delete(&lits);
+                self.log_delete_clause(r);
                 self.detach(r);
                 self.db.delete(r);
                 self.stats.deleted_clauses += 1;
             } else if has_false {
-                let old = self.db.get(r).lits.clone();
+                let old: Vec<Lit> = self.db.lits(r).collect();
                 let new: Vec<Lit> = old
                     .iter()
                     .copied()
@@ -137,14 +132,8 @@ impl Solver {
                 self.log_add(&new);
                 self.log_delete(&old);
                 self.detach(r);
-                {
-                    // In-place rewrite preserves the literal Vec's
-                    // capacity, keeping the arena's byte accounting
-                    // consistent with the later delete().
-                    let c = self.db.get_mut(r);
-                    c.lits.clear();
-                    c.lits.extend_from_slice(&new);
-                }
+                // In place: the freed slots stay as slack until compaction.
+                self.db.rewrite(r, &new);
                 self.attach(r);
             }
         }
@@ -155,13 +144,12 @@ impl Solver {
     /// later steps); every consumer re-verifies membership.
     fn build_occ(&self) -> Vec<Vec<ClauseRef>> {
         let mut occ: Vec<Vec<ClauseRef>> = vec![Vec::new(); self.watches.len()];
-        for i in 0..self.db.num_slots() as u32 {
-            let r = ClauseRef(i);
-            let c = self.db.get(r);
-            if c.deleted || c.learnt {
+        let mut walk = self.db.walk();
+        while let Some(r) = walk.next(&self.db) {
+            if self.db.is_deleted(r) || self.db.is_learnt(r) {
                 continue;
             }
-            for &l in &c.lits {
+            for l in self.db.lits(r) {
                 occ[l.code()].push(r);
             }
         }
@@ -177,18 +165,15 @@ impl Solver {
     /// subsumes D minus that literal (strengthen D).
     fn subsume_round(&mut self, occ: &mut [Vec<ClauseRef>], budget: &mut usize) {
         let mut marks: Vec<i8> = vec![0; self.num_vars() as usize];
-        for ci in 0..self.db.num_slots() as u32 {
+        let mut walk = self.db.walk();
+        while let Some(c) = walk.next(&self.db) {
             if *budget == 0 || !self.ok {
                 break;
             }
-            let c = ClauseRef(ci);
-            {
-                let cl = self.db.get(c);
-                if cl.deleted || cl.learnt || cl.len() > SUBSUME_LEN_MAX {
-                    continue;
-                }
+            if self.db.is_deleted(c) || self.db.is_learnt(c) || self.db.len(c) > SUBSUME_LEN_MAX {
+                continue;
             }
-            let lits: Vec<Lit> = self.db.get(c).lits.clone();
+            let lits: Vec<Lit> = self.db.lits(c).collect();
             if lits.iter().any(|&l| self.value_lit(l) != 0) {
                 continue;
             }
@@ -206,16 +191,16 @@ impl Solver {
                         continue;
                     }
                     let (hits, flip_lit, assigned) = {
-                        let dc = self.db.get(d);
-                        if dc.deleted || dc.len() < lits.len() || !dc.lits.contains(&key) {
+                        let db = &self.db;
+                        if db.is_deleted(d) || db.len(d) < lits.len() || !db.contains(d, key) {
                             continue;
                         }
-                        *budget = budget.saturating_sub(dc.len());
+                        *budget = budget.saturating_sub(db.len(d));
                         let mut hits = 0usize;
                         let mut flips = 0usize;
                         let mut flip = None;
                         let mut assigned = false;
-                        for &l in &dc.lits {
+                        for l in db.lits(d) {
                             if self.value_lit(l) != 0 {
                                 assigned = true;
                             }
@@ -236,8 +221,7 @@ impl Solver {
                         (hits, flip, assigned)
                     };
                     if hits == lits.len() && flip_lit.is_none() {
-                        let dl = self.db.get(d).lits.clone();
-                        self.log_delete(&dl);
+                        self.log_delete_clause(d);
                         self.detach(d);
                         self.db.delete(d);
                         self.stats.subsumed_clauses += 1;
@@ -256,15 +240,12 @@ impl Solver {
     /// a vivification step), logging the stronger clause before deleting
     /// the old one and propagating the unit case at the root.
     fn strengthen_clause(&mut self, d: ClauseRef, l: Lit) {
-        let old = self.db.get(d).lits.clone();
+        let old: Vec<Lit> = self.db.lits(d).collect();
         let new: Vec<Lit> = old.iter().copied().filter(|&x| x != l).collect();
         self.log_add(&new);
         self.log_delete(&old);
         self.detach(d);
-        {
-            let c = self.db.get_mut(d);
-            c.lits.retain(|&x| x != l); // in place: capacity preserved
-        }
+        self.db.rewrite(d, &new); // in place: the freed slot becomes slack
         self.stats.strengthened_clauses += 1;
         if new.len() >= 2 {
             self.attach(d);
@@ -294,22 +275,19 @@ impl Solver {
         occ[l.code()]
             .iter()
             .copied()
-            .filter(|&r| {
-                let c = self.db.get(r);
-                !c.deleted && !c.learnt && c.lits.contains(&l)
-            })
+            .filter(|&r| !self.db.is_deleted(r) && !self.db.is_learnt(r) && self.db.contains(r, l))
             .collect()
     }
 
     /// Resolvent of `p` and `n` on `v`, or `None` when tautological.
     fn resolve(&self, p: ClauseRef, n: ClauseRef, v: Var) -> Option<Vec<Lit>> {
         let mut out: Vec<Lit> = Vec::new();
-        for &l in &self.db.get(p).lits {
+        for l in self.db.lits(p) {
             if l.var() != v {
                 out.push(l);
             }
         }
-        for &l in &self.db.get(n).lits {
+        for l in self.db.lits(n) {
             if l.var() == v {
                 continue;
             }
@@ -338,10 +316,10 @@ impl Solver {
             if *budget == 0 || !self.ok {
                 break;
             }
-            if self.frozen[vi] || self.eliminated[vi] || self.assigns[vi] != 0 {
+            let v = Var(vi as u32);
+            if self.frozen[vi] || self.eliminated[vi] || self.value_var(v) != 0 {
                 continue;
             }
-            let v = Var(vi as u32);
             let pos = self.gather_occ(occ, v.pos());
             let neg = self.gather_occ(occ, v.neg());
             if pos.len() > ELIM_OCC_MAX || neg.len() > ELIM_OCC_MAX {
@@ -355,7 +333,7 @@ impl Solver {
             let mut admissible = true;
             'pairs: for &p in &pos {
                 for &n in &neg {
-                    *budget = budget.saturating_sub(self.db.get(p).len() + self.db.get(n).len());
+                    *budget = budget.saturating_sub(self.db.len(p) + self.db.len(n));
                     if let Some(res) = self.resolve(p, n, v) {
                         if res.len() > RESOLVENT_LEN_MAX || resolvents.len() == limit {
                             admissible = false;
@@ -372,7 +350,7 @@ impl Solver {
             // → mark eliminated → add resolvents.
             let mut saved: Vec<Vec<Lit>> = Vec::with_capacity(limit);
             for &r in pos.iter().chain(neg.iter()) {
-                saved.push(self.db.get(r).lits.clone());
+                saved.push(self.db.lits(r).collect());
                 self.detach(r);
                 self.db.delete(r);
             }
@@ -388,9 +366,8 @@ impl Solver {
                 if let Some(r) = self.add_lits(&res, true) {
                     // Register resolvents so later eliminations this
                     // round see them.
-                    let codes: Vec<usize> = self.db.get(r).lits.iter().map(|l| l.code()).collect();
-                    for code in codes {
-                        occ[code].push(r);
+                    for l in self.db.lits(r) {
+                        occ[l.code()].push(r);
                     }
                 }
                 self.clear_root_reasons();
@@ -413,15 +390,9 @@ impl Solver {
         let mut learnts = std::mem::take(&mut self.reduce_scratch);
         self.db.learnt_refs_into(&mut learnts);
         for &r in &learnts {
-            let mentions = self
-                .db
-                .get(r)
-                .lits
-                .iter()
-                .any(|l| self.eliminated[l.var().index()]);
+            let mentions = self.db.lits(r).any(|l| self.eliminated[l.var().index()]);
             if mentions {
-                let lits = self.db.get(r).lits.clone();
-                self.log_delete(&lits);
+                self.log_delete_clause(r);
                 self.detach(r);
                 self.db.delete(r);
                 self.stats.deleted_clauses += 1;
@@ -433,18 +404,19 @@ impl Solver {
 
     /// Vivification sweep over medium-length original clauses.
     fn vivify_round(&mut self, budget: &mut usize) {
-        for ci in 0..self.db.num_slots() as u32 {
+        let mut walk = self.db.walk();
+        while let Some(r) = walk.next(&self.db) {
             if *budget == 0 || !self.ok {
                 break;
             }
-            let r = ClauseRef(ci);
+            let len = self.db.len(r);
+            if self.db.is_deleted(r)
+                || self.db.is_learnt(r)
+                || !(VIVIFY_LEN_MIN..=SUBSUME_LEN_MAX).contains(&len)
             {
-                let c = self.db.get(r);
-                if c.deleted || c.learnt || c.len() < VIVIFY_LEN_MIN || c.len() > SUBSUME_LEN_MAX {
-                    continue;
-                }
+                continue;
             }
-            if self.db.get(r).lits.iter().any(|&l| self.value_lit(l) != 0) {
+            if self.db.lits(r).any(|l| self.value_lit(l) != 0) {
                 continue;
             }
             self.vivify_clause(r, budget);
@@ -457,7 +429,7 @@ impl Solver {
     /// early; a literal found false is redundant and dropped. Any
     /// shortening replaces the clause (Add-then-Delete in the DRAT log).
     fn vivify_clause(&mut self, r: ClauseRef, budget: &mut usize) {
-        let old = self.db.get(r).lits.clone();
+        let old: Vec<Lit> = self.db.lits(r).collect();
         self.detach(r);
         let before = self.stats.propagations;
         let mut kept: Vec<Lit> = Vec::with_capacity(old.len());
@@ -489,11 +461,7 @@ impl Solver {
         self.stats.vivified_clauses += 1;
         self.log_add(&kept);
         self.log_delete(&old);
-        {
-            let c = self.db.get_mut(r);
-            c.lits.clear();
-            c.lits.extend_from_slice(&kept); // in place: capacity preserved
-        }
+        self.db.rewrite(r, &kept); // in place: the freed slots become slack
         match kept.len() {
             0 => {
                 self.db.delete(r);
