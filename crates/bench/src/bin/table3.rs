@@ -11,32 +11,13 @@
 //! (pass a design name to restrict, `--jobs N` to parallelize the runs
 //! through the campaign runner).
 
+use gqed_bench::table_args;
 use gqed_bench::tables::render_table3;
 use gqed_campaign::Telemetry;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("bad --jobs"))
-        .unwrap_or(1);
-    let filter = args
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| {
-            !a.starts_with("--") && args.get(i.wrapping_sub(1)).is_none_or(|p| p != "--jobs")
-        })
-        .map(|(_, a)| a.as_str())
-        .next();
-    if let Some(f) = filter {
-        if !gqed_ha::all_designs().iter().any(|e| e.name == f) {
-            eprintln!("unknown design '{f}'");
-            std::process::exit(2);
-        }
-    }
-    let t = render_table3(filter, jobs, &Telemetry::null());
+    let (filter, jobs) = table_args("table3");
+    let t = render_table3(filter.as_deref(), jobs, &Telemetry::null());
     print!("{}", t.markdown);
     if t.mismatches > 0 {
         eprintln!("{} rows disagree with the catalogue", t.mismatches);

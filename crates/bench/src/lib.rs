@@ -1,31 +1,66 @@
 //! Shared infrastructure for the evaluation harness.
 //!
-//! Every table (T1–T4) and figure (F1–F3) of the reconstructed evaluation
+//! Every table (T1–T5) and figure (F1–F3) of the reconstructed evaluation
 //! (see `DESIGN.md` §3) has a binary in `src/bin/` that regenerates it on
-//! stdout in Markdown/CSV form; the Criterion micro-benchmarks live in
-//! `benches/`. This library holds the pieces they share: design metrics,
-//! Markdown emission, and the random-simulation baseline used by F2.
+//! stdout in Markdown/CSV form. Per-layer costs (SAT throughput, encoding,
+//! wrapper synthesis, BMC frame time) are measured by the repository
+//! benchmark in `perfbench/`. This library holds the pieces the binaries
+//! share: design metrics, Markdown emission, the command line of the
+//! campaign-backed tables, and the random-simulation baseline used by F2.
 
 #![warn(missing_docs)]
 pub mod tables;
 
-use gqed_ha::Design;
-use gqed_ir::{BitBlaster, Sim};
+use gqed_ha::{all_designs, Design};
+use gqed_ir::{BitBlaster, Context, Sim, TransitionSystem};
 use gqed_logic::{Aig, SplitMix64};
 use std::collections::HashMap;
 
-/// Bit-blasts one frame of the design (all next-state functions plus
-/// outputs and properties) and returns the AND-gate count — the "design
-/// size" metric of Table 1.
-pub fn gate_count(design: &Design) -> usize {
-    let ctx = &design.ctx;
+/// Bit-blasts one frame of `ts` (all next-state functions plus outputs
+/// and properties) and returns the AND-gate count — the "design size"
+/// metric of Tables 1 and 5.
+pub fn gate_count(ctx: &Context, ts: &TransitionSystem) -> usize {
     let mut aig = Aig::new();
     let mut blaster = BitBlaster::new();
     let mut leaf = |aig: &mut Aig, _t, w: u32| (0..w).map(|_| aig.input()).collect::<Vec<_>>();
-    for root in design.ts.roots() {
+    for root in ts.roots() {
         let _ = blaster.blast(ctx, &mut aig, root, &mut leaf);
     }
     aig.num_ands()
+}
+
+/// The command line of the campaign-backed tables (`table2`, `table3`):
+/// an optional design name restricting the table, and `--jobs N`
+/// (default 1). Prints the problem and a usage line and exits 2 on an
+/// unknown flag, a missing or unparsable `--jobs`, an unknown design or a
+/// second design.
+pub fn table_args(bin: &str) -> (Option<String>, usize) {
+    parse_table_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("{bin}: {e}\nusage: {bin} [<design>] [--jobs n]");
+        std::process::exit(2);
+    })
+}
+
+fn parse_table_args(
+    args: impl IntoIterator<Item = String>,
+) -> Result<(Option<String>, usize), String> {
+    let (mut filter, mut jobs) = (None, None);
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        if arg == "--jobs" && jobs.is_none() {
+            let v = args.next().unwrap_or_default();
+            jobs = Some(v.parse().map_err(|_| format!("bad --jobs '{v}'"))?);
+        } else if arg.starts_with("--") {
+            return Err(format!("unknown or repeated flag {arg}"));
+        } else if filter.is_some() {
+            return Err(format!("unexpected argument '{arg}'"));
+        } else if !all_designs().iter().any(|e| e.name == arg) {
+            return Err(format!("unknown design '{arg}'"));
+        } else {
+            filter = Some(arg);
+        }
+    }
+    Ok((filter, jobs.unwrap_or(1)))
 }
 
 /// Renders one Markdown table row.
@@ -144,8 +179,8 @@ mod tests {
     #[test]
     fn gate_count_positive_and_stable() {
         let d = accum::build(&accum::Params::default(), None);
-        let g1 = gate_count(&d);
-        let g2 = gate_count(&d);
+        let g1 = gate_count(&d.ctx, &d.ts);
+        let g2 = gate_count(&d.ctx, &d.ts);
         assert!(g1 > 50, "accum should have a nontrivial gate count");
         assert_eq!(g1, g2);
     }
@@ -178,6 +213,28 @@ mod tests {
                 ExposeResult::NotExposed(_)
             ));
         }
+    }
+
+    #[test]
+    fn table_args_accept_a_filter_and_jobs_and_reject_the_rest() {
+        let parse = |line: &str| parse_table_args(line.split_whitespace().map(String::from));
+        assert_eq!(parse(""), Ok((None, 1)));
+        assert_eq!(parse("--jobs 2 relu"), Ok((Some("relu".into()), 2)));
+        assert_eq!(parse("relu --jobs x"), Err("bad --jobs 'x'".into()));
+        assert_eq!(parse("relu --jobs"), Err("bad --jobs ''".into()));
+        assert_eq!(
+            parse("--job 2"),
+            Err("unknown or repeated flag --job".into())
+        );
+        assert_eq!(
+            parse("--jobs 1 --jobs 2"),
+            Err("unknown or repeated flag --jobs".into())
+        );
+        assert_eq!(
+            parse("relu accum"),
+            Err("unexpected argument 'accum'".into())
+        );
+        assert_eq!(parse("nosuch"), Err("unknown design 'nosuch'".into()));
     }
 
     #[test]

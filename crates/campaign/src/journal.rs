@@ -628,6 +628,51 @@ mod tests {
         ));
     }
 
+    /// Older binaries wrote `proof_engine` beside `engine` on every
+    /// verdict record; current ones write `engine` only. Both journals
+    /// must resume to the same state.
+    #[test]
+    fn verdict_records_with_and_without_proof_engine_resume_alike() {
+        let journal = |with_proof_engine: bool| {
+            let verdict = |job: &str, engine: &str| {
+                let rec = JsonValue::obj()
+                    .field("type", "verdict")
+                    .field("job", job)
+                    .field("verdict", "proven")
+                    .field("k", 3u32)
+                    .field("attempts", 2u32)
+                    .field("engine", engine);
+                let rec = if with_proof_engine {
+                    rec.field("proof_engine", engine)
+                } else {
+                    rec
+                };
+                rec.field("frames_solved", 9u64).field("wall_ms", 40u64)
+            };
+            let start = JsonValue::obj()
+                .field("type", "campaign_start")
+                .field("manifest_crc", 5u32);
+            ResumeState::from_records(&[start, verdict("a", "pdr"), verdict("b", "kind")])
+        };
+        let render = |state: &ResumeState| {
+            let mut jobs: Vec<String> = state
+                .completed
+                .iter()
+                .map(|(job, rr)| format!("{job}: {rr:?}"))
+                .collect();
+            jobs.sort();
+            (state.manifest_crc, jobs)
+        };
+        let (old, new) = (journal(true), journal(false));
+        assert_eq!(render(&old), render(&new));
+        assert_eq!(new.completed["a"].engine, "pdr");
+        assert_eq!(new.completed["b"].engine, "kind");
+        assert!(matches!(
+            new.completed["a"].verdict,
+            JobVerdict::Proven { k: 3 }
+        ));
+    }
+
     #[test]
     fn manifest_crc_tracks_obligation_identity() {
         use crate::obligation::{enumerate_obligations, FlowFilter};

@@ -1,5 +1,11 @@
 //! `gqed` — command-line front-end to the G-QED verification flow.
 //!
+//! Each subcommand declares its flags once, in `COMMANDS`. One parser
+//! splits a command line into operands and flags; an unknown, repeated
+//! or value-less flag, or a value that does not parse, exits with code 2
+//! and a usage line printed from the same table. A unit test keeps the
+//! list below in step with the tables.
+//!
 //! ```text
 //! gqed list                         designs and their bug catalogues
 //! gqed check <design> [opts]        run a verification flow
@@ -17,28 +23,29 @@
 //! gqed bmc <file.btor2> [opts]      model-check an external BTOR2 file
 //!      --bound <n>                  BMC bound (default 20)
 //!      --prove                      try k-induction after clean BMC
-//! gqed prove <design>               k-induction on the conventional assertions
+//! gqed prove <design> [opts]        k-induction on the conventional assertions
+//!      --bug <id>                   inject a catalogued bug first
 //!      --max-k <n>                  induction depth limit (default 6)
 //! gqed campaign [<design>…|--all]   run the full verification campaign
 //!      --jobs <n>                   worker threads (default 1)
 //!      --deadline-ms <m>            per-attempt deadline, Luby-escalated
 //!      --budget <c>                 per-attempt conflict budget, Luby-escalated
 //!      --max-attempts <n>           escalation attempts (default 4)
-//!      --telemetry <file>           write JSONL telemetry (schema: EXPERIMENTS.md)
-//!      --flow gqed[,aqed,conv]      restrict to the listed flows
 //!      --engines bmc,kind,pdr       proof-engine portfolio raced on clean
 //!                                   designs (default: all three)
 //!      --no-race                    shorthand for --engines bmc (plain
 //!                                   deterministic bounded BMC)
 //!      --cold                       disable the warm-start pipeline
 //!                                   (model cache + resumable sessions)
+//!      --mem-limit <bytes[K|M|G]>   clause-arena byte budget per solver;
+//!                                   memory-stopped jobs retry cold
+//!      --flow gqed[,aqed,conv]      restrict to the listed flows
+//!      --telemetry <file>           write JSONL telemetry (schema: EXPERIMENTS.md)
 //!      --journal <file>             crash-safe write-ahead journal of verdicts
 //!                                   (schema: EXPERIMENTS.md)
 //!      --resume <file>              resume from a journal: skip obligations
 //!                                   with settled verdicts, re-run the rest,
 //!                                   merge into one summary
-//!      --mem-limit <bytes[K|M|G]>   clause-arena byte budget per solver;
-//!                                   memory-stopped jobs retry cold
 //!      --summary-out <file>         write the normalized per-obligation
 //!                                   summary (stable across runs/resumes)
 //!      --store <file>               content-addressed verdict store: serve
@@ -61,18 +68,18 @@
 //!      stop at the next poll, pending obligations drain as `cancelled`
 //!      with journal checkpoints, and the exit code is 130. A second
 //!      signal exits immediately.
-//! gqed mutants [<design>…] [opts]   seeded mutation campaign: synthesize
+//! gqed mutants [<design>…|--all]    seeded mutation campaign: synthesize
 //!                                   mutants, solve them, report the
 //!                                   detection-rate table
 //!      --seed <s>                   mutation seed (default 1)
 //!      --per-design <n>             distinct mutants per design (default 10)
 //!      --out <file>                 report path (default BENCH_mutants.json)
 //!      --floor <f>                  detection-rate regression floor
-//!      plus the campaign knobs (--jobs, --deadline-ms, --budget,
-//!      --max-attempts, --telemetry, --flow, --journal, --resume,
-//!      --mem-limit, --summary-out, --store, --engines, --no-race);
-//!      engines default to bmc-only so the table is byte-identical at
-//!      any worker count
+//!      plus the campaign flags other than the fleet ones (--jobs,
+//!      --deadline-ms, --budget, --max-attempts, --engines, --no-race,
+//!      --cold, --mem-limit, --flow, --telemetry, --journal, --resume,
+//!      --summary-out, --store); engines default to bmc-only so the table
+//!      is byte-identical at any worker count
 //! gqed serve [opts]                 long-running campaign service (TCP,
 //!                                   line-delimited JSON; see EXPERIMENTS.md)
 //!      --addr <host:port>           listen address (default 127.0.0.1:7878;
@@ -85,7 +92,7 @@
 //!                                   oversize requests get a structured error
 //!      --read-timeout-ms <m>        socket read timeout (default 30000;
 //!                                   0 disables)
-//!      plus the campaign solver knobs (--jobs, --deadline-ms, --budget,
+//!      plus the campaign solver flags (--jobs, --deadline-ms, --budget,
 //!      --max-attempts, --engines, --no-race, --cold, --mem-limit) as the
 //!      base configuration; each batch request may override them
 //! gqed submit [<design>…|--all]     submit one batch to a running server
@@ -107,10 +114,14 @@
 //!      --quick                      small suite for the CI smoke step
 //!      --out <file>                 report path (default BENCH_pipeline.json)
 //!      --telemetry <file>           write attempt-level JSONL telemetry
-//! gqed productivity [--features n --properties n]
-//!                                   evaluate the person-day cost model
+//! gqed productivity [opts]          evaluate the person-day cost model
+//!      --features <n>               features of the case study (default 120)
+//!      --properties <n>             properties of the case study (default 160)
 //! ```
 
+use gqed::campaign::{
+    CampaignConfig, CampaignSummary, EngineId, FleetConfig, FlowFilter, Obligation, Telemetry,
+};
 use gqed::core::productivity::{
     conventional_person_days, gqed_person_days, productivity_gain, CaseStudy, ConventionalCosts,
     GqedCosts,
@@ -119,43 +130,222 @@ use gqed::core::theory::evaluation_bound;
 use gqed::core::{check_design, synthesize, CheckKind, QedConfig, Verdict};
 use gqed::ha::{all_designs, Design, DesignEntry};
 use gqed::ir::to_btor2;
+use std::path::Path;
 use std::process::exit;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("list") => cmd_list(),
-        Some("check") => cmd_check(&args[1..]),
-        Some("hunt") => cmd_hunt(&args[1..]),
-        Some("export") => cmd_export(&args[1..]),
-        Some("bmc") => cmd_bmc(&args[1..]),
-        Some("prove") => cmd_prove(&args[1..]),
-        Some("campaign") => cmd_campaign(&args[1..]),
-        Some("mutants") => cmd_mutants(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("submit") => cmd_submit(&args[1..]),
-        Some("worker") => exit(gqed::campaign::run_worker()),
-        Some("bench") => cmd_bench(&args[1..]),
-        Some("productivity") => cmd_productivity(&args[1..]),
-        _ => {
-            eprintln!(
-                "usage: gqed <list|check|hunt|export|bmc|prove|campaign|mutants|serve|submit|worker|bench|productivity> …"
-            );
-            eprintln!("       (see the crate docs or src/bin/gqed.rs for options)");
-            exit(2);
-        }
+// Each flag group below is written exactly as the usage line shows it:
+// `[--name]` is a switch, `[--name value]` takes a value.
+
+/// Solver knobs a `submit` batch may override on the server.
+const BATCH_KNOBS: &str =
+    "[--jobs n] [--deadline-ms m] [--budget c] [--max-attempts n] [--engines bmc,kind,pdr]";
+/// Solver knobs fixed for the life of the process.
+const PROCESS_KNOBS: &str = "[--no-race] [--cold] [--mem-limit bytes[K|M|G]]";
+/// Obligation selection and outputs of a campaign run.
+const CAMPAIGN_IO: &str = "[--all] [--flow gqed,aqed,conv] [--telemetry file] [--summary-out file]";
+/// State a campaign run persists: journal and verdict store.
+const CAMPAIGN_STATE: &str = "[--journal file] [--resume file] [--store file]";
+/// Worker-process fleet supervision; `campaign` only, because mutant
+/// obligations have no wire form.
+const FLEET: &str =
+    "[--fleet n] [--crash-budget n] [--heartbeat-timeout-ms m] [--chaos-kills n] [--chaos-seed s]";
+
+const CHECK: &[&str] = &["[--bug id] [--flow gqed|aqed|conv] [--bound n] [--vcd file]"];
+const EXPORT: &[&str] = &["[--bug id] [--wrapped] [--format btor2|dot|smt2] [--frame k]"];
+const BENCH: &[&str] = &["[--quick] [--out file] [--telemetry file]"];
+const PRODUCTIVITY: &[&str] = &["[--features n] [--properties n]"];
+const CAMPAIGN: &[&str] = &[
+    BATCH_KNOBS,
+    PROCESS_KNOBS,
+    CAMPAIGN_IO,
+    CAMPAIGN_STATE,
+    FLEET,
+];
+const MUTANTS: &[&str] = &[
+    BATCH_KNOBS,
+    PROCESS_KNOBS,
+    CAMPAIGN_IO,
+    CAMPAIGN_STATE,
+    "[--seed s] [--per-design n] [--out file] [--floor f]",
+];
+const SERVE: &[&str] = &[
+    BATCH_KNOBS,
+    PROCESS_KNOBS,
+    "[--addr host:port] [--store file] [--telemetry file]",
+    "[--max-request-bytes n] [--read-timeout-ms m]",
+];
+const SUBMIT: &[&str] = &[
+    BATCH_KNOBS,
+    "[--all] [--addr host:port] [--batch label] [--flow gqed,aqed,conv] [--telemetry file]",
+    "[--summary-out file] [--retries n] [--retry-delay-ms m] [--shutdown]",
+];
+
+const COMMANDS: &[Cmd] = &[
+    cmd("list", "", &[], cmd_list),
+    cmd("check", "<design>", CHECK, cmd_check),
+    cmd("hunt", "[<design>|--all]", &["[--all]"], cmd_hunt),
+    cmd("export", "<design>", EXPORT, cmd_export),
+    cmd("bmc", "<file.btor2>", &["[--bound n] [--prove]"], cmd_bmc),
+    cmd("prove", "<design>", &["[--bug id] [--max-k n]"], cmd_prove),
+    cmd("campaign", "[<design>…|--all]", CAMPAIGN, cmd_campaign),
+    cmd("mutants", "[<design>…|--all]", MUTANTS, cmd_mutants),
+    cmd("serve", "", SERVE, cmd_serve),
+    cmd("submit", "[<design>…|--all]", SUBMIT, cmd_submit),
+    cmd("worker", "", &[], cmd_worker),
+    cmd("bench", "", BENCH, cmd_bench),
+    cmd("productivity", "", PRODUCTIVITY, cmd_productivity),
+];
+
+/// A subcommand: its operand synopsis, its flag groups and its entry point.
+struct Cmd {
+    name: &'static str,
+    operands: &'static str,
+    flags: &'static [&'static str],
+    run: fn(&Args),
+}
+
+const fn cmd(
+    name: &'static str,
+    operands: &'static str,
+    flags: &'static [&'static str],
+    run: fn(&Args),
+) -> Cmd {
+    Cmd {
+        name,
+        operands,
+        flags,
+        run,
     }
 }
 
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+impl Cmd {
+    /// The declared flags as `(name, takes a value)`.
+    fn flags(&self) -> impl Iterator<Item = (&'static str, bool)> {
+        self.flags.iter().flat_map(|group| {
+            group.match_indices("[--").map(|(at, _)| {
+                let item = &group[at + 1..];
+                let end = item.find([' ', ']']).unwrap_or(item.len());
+                (&item[..end], item[end..].starts_with(' '))
+            })
+        })
+    }
+
+    /// Operand count bounds read off the synopsis: `<x>` is exactly one,
+    /// `[<x>]` at most one, `[<x>…]` any number.
+    fn arity(&self) -> (usize, usize) {
+        match self.operands {
+            "" => (0, 0),
+            o if o.contains('…') => (0, usize::MAX),
+            o if o.starts_with('[') => (0, 1),
+            _ => (1, 1),
+        }
+    }
+
+    /// Prints `message` and the usage lines, then exits with code 2.
+    fn fail(&self, message: impl std::fmt::Display) -> ! {
+        let head = format!("usage: gqed {} {}", self.name, self.operands);
+        eprintln!("gqed {}: {message}\n{}", self.name, head.trim_end());
+        for group in self.flags {
+            eprintln!("{:indent$}{group}", "", indent = 13 + self.name.len());
+        }
+        exit(2);
+    }
 }
 
-fn has_flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
+/// A parsed command line: the operands, plus each given flag (at most
+/// once) with its value.
+struct Args {
+    cmd: &'static Cmd,
+    operands: Vec<String>,
+    flags: Vec<(&'static str, Option<String>)>,
+}
+
+impl Args {
+    /// Splits `raw` into operands and `cmd`'s declared flags; the error
+    /// names the offending flag or operand.
+    fn parse(cmd: &'static Cmd, raw: &[String]) -> Result<Args, String> {
+        let mut args = Args {
+            cmd,
+            operands: Vec::new(),
+            flags: Vec::new(),
+        };
+        let mut raw = raw.iter();
+        while let Some(arg) = raw.next() {
+            if !arg.starts_with("--") {
+                args.operands.push(arg.clone());
+                continue;
+            }
+            let (name, takes_value) = cmd
+                .flags()
+                .find(|(name, _)| *name == arg.as_str())
+                .ok_or_else(|| format!("unknown flag {arg}"))?;
+            if args.has(name) {
+                return Err(format!("{arg} given twice"));
+            }
+            let value = if takes_value {
+                match raw.next() {
+                    Some(v) if !v.starts_with("--") => Some(v.clone()),
+                    _ => return Err(format!("{arg} needs a value")),
+                }
+            } else {
+                None
+            };
+            args.flags.push((name, value));
+        }
+        let (min, max) = cmd.arity();
+        if args.operands.len() > max {
+            return Err(format!("unexpected argument '{}'", args.operands[max]));
+        }
+        if args.operands.len() < min {
+            return Err(format!("missing {}", cmd.operands));
+        }
+        Ok(args)
+    }
+
+    /// The given flag's entry: `Some(None)` for a switch.
+    fn lookup(&self, name: &str) -> Option<&Option<String>> {
+        debug_assert!(
+            self.cmd.flags().any(|(n, _)| n == name),
+            "{name} is not declared for gqed {}",
+            self.cmd.name
+        );
+        self.flags.iter().find(|(n, _)| *n == name).map(|(_, v)| v)
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.lookup(name).is_some()
+    }
+
+    fn value(&self, name: &str) -> Option<&str> {
+        self.lookup(name).and_then(Option::as_deref)
+    }
+
+    /// The flag's value parsed as `T`; exits 2 if it does not parse.
+    fn get<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        self.value(name).map(|v| {
+            v.parse()
+                .unwrap_or_else(|_| self.fail(format!("bad {name} '{v}'")))
+        })
+    }
+
+    fn fail(&self, message: impl std::fmt::Display) -> ! {
+        self.cmd.fail(message)
+    }
+}
+
+fn main() {
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let Some(cmd) = raw
+        .first()
+        .and_then(|name| COMMANDS.iter().find(|c| c.name == name.as_str()))
+    else {
+        let names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
+        eprintln!("usage: gqed <{}> …", names.join("|"));
+        eprintln!("       (see the crate docs or src/bin/gqed.rs for options)");
+        exit(2);
+    };
+    let args = Args::parse(cmd, &raw[1..]).unwrap_or_else(|e| cmd.fail(e));
+    (cmd.run)(&args);
 }
 
 fn find_design(name: &str) -> DesignEntry {
@@ -169,14 +359,16 @@ fn find_design(name: &str) -> DesignEntry {
         })
 }
 
-fn build(entry: &DesignEntry, args: &[String]) -> Design {
-    match flag_value(args, "--bug") {
+/// The design named by the first operand, with `--bug` injected if given.
+fn build(args: &Args) -> Design {
+    let entry = find_design(&args.operands[0]);
+    match args.value("--bug") {
         Some(b) => entry.build_buggy(b),
         None => entry.build_clean(),
     }
 }
 
-fn cmd_list() {
+fn cmd_list(_: &Args) {
     for entry in all_designs() {
         let d = entry.build_clean();
         println!(
@@ -204,29 +396,16 @@ fn cmd_list() {
     }
 }
 
-fn cmd_check(args: &[String]) {
-    let Some(name) = args.first() else {
-        eprintln!("usage: gqed check <design> [--bug id] [--flow gqed|aqed|conv] [--bound n] [--vcd file]");
-        exit(2);
-    };
-    let entry = find_design(name);
-    let design = build(&entry, args);
-    let kind = match flag_value(args, "--flow") {
+fn cmd_check(args: &Args) {
+    let kind = match args.value("--flow") {
         None | Some("gqed") => CheckKind::GQed,
         Some("aqed") => CheckKind::AQed,
         Some("conv") | Some("conventional") => CheckKind::Conventional,
-        Some(f) => {
-            eprintln!("unknown flow '{f}'");
-            exit(2);
-        }
+        Some(f) => args.fail(format!("unknown flow '{f}'")),
     };
-    let bound = match flag_value(args, "--bound") {
-        Some(b) => b.parse().unwrap_or_else(|_| {
-            eprintln!("bad bound '{b}'");
-            exit(2);
-        }),
-        None => design.meta.recommended_bound,
-    };
+    let bound = args.get("--bound");
+    let design = build(args);
+    let bound = bound.unwrap_or(design.meta.recommended_bound);
     eprintln!(
         "checking {} ({}) with {} at bound {bound}…",
         design.meta.name,
@@ -256,9 +435,12 @@ fn cmd_check(args: &[String]) {
                 }
             };
             println!("{}", trace.pretty(&d2.ctx, &ts));
-            if let Some(path) = flag_value(args, "--vcd") {
+            if let Some(path) = args.value("--vcd") {
                 let vcd = trace.to_vcd(&d2.ctx, &ts);
-                std::fs::write(path, vcd.render()).expect("write VCD");
+                or_exit(
+                    std::fs::write(path, vcd.render()),
+                    format!("cannot write {path}"),
+                );
                 eprintln!("waveform written to {path}");
             }
             exit(1);
@@ -272,14 +454,10 @@ fn cmd_check(args: &[String]) {
     }
 }
 
-fn cmd_hunt(args: &[String]) {
-    let entries = all_designs();
-    let selected: Vec<&DesignEntry> = match args.first().map(String::as_str) {
-        Some("--all") | None => entries.iter().collect(),
-        Some(name) => vec![entries.iter().find(|e| e.name == name).unwrap_or_else(|| {
-            eprintln!("unknown design '{name}'");
-            exit(2);
-        })],
+fn cmd_hunt(args: &Args) {
+    let selected = match args.operands.first() {
+        Some(name) if !args.has("--all") => vec![find_design(name)],
+        _ => all_designs(),
     };
     let mut failures = 0;
     for entry in selected {
@@ -310,14 +488,10 @@ fn cmd_hunt(args: &[String]) {
     }
 }
 
-fn cmd_export(args: &[String]) {
-    let Some(name) = args.first() else {
-        eprintln!("usage: gqed export <design> [--bug id] [--wrapped] [--format btor2|dot]");
-        exit(2);
-    };
-    let entry = find_design(name);
-    let mut design = build(&entry, args);
-    let ts = if has_flag(args, "--wrapped") {
+fn cmd_export(args: &Args) {
+    let frame = args.get("--frame").unwrap_or(5);
+    let mut design = build(args);
+    let ts = if args.has("--wrapped") {
         synthesize(&mut design, &QedConfig::gqed()).ts
     } else {
         // Attach the conventional assertions so the export carries
@@ -326,7 +500,7 @@ fn cmd_export(args: &[String]) {
         ts.bads = design.conventional.clone();
         ts
     };
-    match flag_value(args, "--format") {
+    match args.value("--format") {
         None | Some("btor2") => print!("{}", to_btor2(&design.ctx, &ts)),
         Some("dot") => {
             let mut roots: Vec<(String, gqed::ir::TermId)> = ts.outputs.clone();
@@ -338,38 +512,35 @@ fn cmd_export(args: &[String]) {
                 eprintln!("no properties to export; use --wrapped or a buggy build");
                 exit(2);
             }
-            let k = flag_value(args, "--frame")
-                .map(|v| v.parse().expect("bad --frame"))
-                .unwrap_or(5);
-            print!("{}", gqed::ir::unrolling_to_smt2(&design.ctx, &ts, 0, k));
+            print!(
+                "{}",
+                gqed::ir::unrolling_to_smt2(&design.ctx, &ts, 0, frame)
+            );
         }
-        Some(f) => {
-            eprintln!("unknown format '{f}'");
-            exit(2);
-        }
+        Some(f) => args.fail(format!("unknown format '{f}'")),
     }
 }
 
-fn cmd_bmc(args: &[String]) {
-    let Some(path) = args.first() else {
-        eprintln!("usage: gqed bmc <file.btor2> [--bound n] [--prove]");
-        exit(2);
-    };
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        exit(1);
-    });
-    let (ctx, ts) = gqed::ir::from_btor2(&text).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        exit(1);
-    });
+/// One `ProofResult` as the `bmc --prove` and `prove` tables print it.
+fn proof_cell(r: gqed::bmc::ProofResult, falsified: &str, unknown: &str) -> String {
+    use gqed::bmc::ProofResult;
+    match r {
+        ProofResult::Proven { k } => format!("PROVEN (k = {k})"),
+        ProofResult::Falsified(t) => format!("FALSIFIED ({}{falsified})", t.len()),
+        ProofResult::Unknown { max_k } => format!("unknown up to k = {max_k}{unknown}"),
+        ProofResult::Cancelled { k, reason } => format!("cancelled at k = {k} ({reason:?})"),
+    }
+}
+
+fn cmd_bmc(args: &Args) {
+    let bound: u32 = args.get("--bound").unwrap_or(20);
+    let path = &args.operands[0];
+    let text = or_exit(std::fs::read_to_string(path), format!("cannot read {path}"));
+    let (ctx, ts) = or_exit(gqed::ir::from_btor2(&text), path);
     if ts.bads.is_empty() {
         eprintln!("model has no bad properties");
         exit(2);
     }
-    let bound: u32 = flag_value(args, "--bound")
-        .map(|v| v.parse().expect("bad --bound"))
-        .unwrap_or(20);
     eprintln!(
         "model: {} inputs, {} states ({} bits), {} properties",
         ts.inputs.len(),
@@ -391,38 +562,19 @@ fn cmd_bmc(args: &[String]) {
         }
         gqed::bmc::BmcResult::NoneUpTo(b) => {
             println!("clean up to bound {b}");
-            if has_flag(args, "--prove") {
+            if args.has("--prove") {
                 for (i, bad) in ts.bads.iter().enumerate() {
                     let r = gqed::bmc::prove_k_induction(&ctx, &ts, i, 8);
-                    println!(
-                        "{:30} {}",
-                        bad.name,
-                        match r {
-                            gqed::bmc::ProofResult::Proven { k } => format!("PROVEN (k = {k})"),
-                            gqed::bmc::ProofResult::Falsified(t) =>
-                                format!("FALSIFIED ({} cycles)", t.len()),
-                            gqed::bmc::ProofResult::Unknown { max_k } =>
-                                format!("unknown up to k = {max_k}"),
-                            gqed::bmc::ProofResult::Cancelled { k, reason } =>
-                                format!("cancelled at k = {k} ({reason:?})"),
-                        }
-                    );
+                    println!("{:30} {}", bad.name, proof_cell(r, " cycles", ""));
                 }
             }
         }
     }
 }
 
-fn cmd_prove(args: &[String]) {
-    let Some(name) = args.first() else {
-        eprintln!("usage: gqed prove <design> [--max-k n]");
-        exit(2);
-    };
-    let entry = find_design(name);
-    let design = build(&entry, args);
-    let max_k: u32 = flag_value(args, "--max-k")
-        .map(|v| v.parse().expect("bad --max-k"))
-        .unwrap_or(6);
+fn cmd_prove(args: &Args) {
+    let max_k: u32 = args.get("--max-k").unwrap_or(6);
+    let design = build(args);
     let mut ts = design.ts.clone();
     ts.bads = design.conventional.clone();
     for (i, b) in ts.bads.iter().enumerate() {
@@ -430,100 +582,68 @@ fn cmd_prove(args: &[String]) {
         println!(
             "{:35} {}",
             b.name,
-            match r {
-                gqed::bmc::ProofResult::Proven { k } => format!("PROVEN (k = {k})"),
-                gqed::bmc::ProofResult::Falsified(t) =>
-                    format!("FALSIFIED ({}-cycle counterexample)", t.len()),
-                gqed::bmc::ProofResult::Unknown { max_k } =>
-                    format!("unknown up to k = {max_k} (needs an invariant)"),
-                gqed::bmc::ProofResult::Cancelled { k, reason } =>
-                    format!("cancelled at k = {k} ({reason:?})"),
-            }
+            proof_cell(r, "-cycle counterexample", " (needs an invariant)")
         );
     }
 }
 
-fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
-    flag_value(args, name).map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("bad {name} '{v}'");
-            exit(2);
-        })
-    })
-}
-
-/// The `--flow` filter shared by `campaign` and `submit`.
-fn parse_flows(args: &[String]) -> gqed::campaign::FlowFilter {
-    use gqed::campaign::FlowFilter;
-    match flag_value(args, "--flow") {
-        None => FlowFilter::all(),
-        Some(list) => {
-            let mut f = FlowFilter {
-                gqed: false,
-                aqed: false,
-                conventional: false,
-            };
-            for flow in list.split(',') {
-                match flow {
-                    "gqed" => f.gqed = true,
-                    "aqed" => f.aqed = true,
-                    "conv" | "conventional" => f.conventional = true,
-                    other => {
-                        eprintln!("unknown flow '{other}' (expected gqed, aqed or conv)");
-                        exit(2);
-                    }
-                }
-            }
-            f
+/// The `--flow` filter shared by `campaign`, `mutants` and `submit`.
+fn parse_flows(args: &Args) -> FlowFilter {
+    let Some(list) = args.value("--flow") else {
+        return FlowFilter::all();
+    };
+    let mut f = FlowFilter {
+        gqed: false,
+        aqed: false,
+        conventional: false,
+    };
+    for flow in list.split(',') {
+        match flow {
+            "gqed" => f.gqed = true,
+            "aqed" => f.aqed = true,
+            "conv" | "conventional" => f.conventional = true,
+            other => args.fail(format!(
+                "unknown flow '{other}' (expected gqed, aqed or conv)"
+            )),
         }
     }
+    f
 }
 
-/// Engine selection shared by `campaign` and `serve`: `--engines` picks
-/// the clean-design proof portfolio; `--no-race` is the historical
-/// shorthand for the deterministic BMC-only path.
-fn parse_engines(args: &[String]) -> Vec<gqed::campaign::EngineId> {
-    use gqed::campaign::EngineId;
-    match (flag_value(args, "--engines"), has_flag(args, "--no-race")) {
-        (Some(_), true) => {
-            eprintln!(
-                "--engines and --no-race are mutually exclusive (--no-race means --engines bmc)"
-            );
-            exit(2);
-        }
-        (Some(list), false) => EngineId::parse_list(list).unwrap_or_else(|e| {
-            eprintln!("bad --engines '{list}': {e}");
-            exit(2);
-        }),
+/// The one mapping from the solver flags to a [`CampaignConfig`]:
+/// `campaign` and `mutants` run with it, `serve` uses it as the base
+/// configuration batch requests override. `--engines` picks the
+/// clean-design proof portfolio (`default_engines` when absent);
+/// `--no-race` is the historical shorthand for `--engines bmc`.
+fn campaign_config_from_args(args: &Args, default_engines: Vec<EngineId>) -> CampaignConfig {
+    let engines = match (args.value("--engines"), args.has("--no-race")) {
+        (Some(_), true) => args
+            .fail("--engines and --no-race are mutually exclusive (--no-race means --engines bmc)"),
+        (Some(list), false) => EngineId::parse_list(list)
+            .unwrap_or_else(|e| args.fail(format!("bad --engines '{list}': {e}"))),
         (None, true) => vec![EngineId::Bmc],
-        (None, false) => gqed::campaign::default_portfolio(),
-    }
-}
-
-/// The campaign configuration implied by the shared solver flags —
-/// `campaign` uses it directly, `serve` as the base configuration batch
-/// requests override.
-fn campaign_config_from_args(args: &[String]) -> gqed::campaign::CampaignConfig {
-    use gqed::campaign::CampaignConfig;
+        (None, false) => default_engines,
+    };
     let mut config = CampaignConfig::default()
-        .with_engines(parse_engines(args))
-        .with_warm_start(!has_flag(args, "--cold"));
-    if let Some(jobs) = parse_flag(args, "--jobs") {
+        .with_engines(engines)
+        .with_warm_start(!args.has("--cold"));
+    if let Some(jobs) = args.get("--jobs") {
         config = config.with_jobs(jobs);
     }
-    if let Some(ms) = parse_flag(args, "--deadline-ms") {
+    if let Some(ms) = args.get("--deadline-ms") {
         config = config.with_deadline_ms(ms);
     }
-    if let Some(budget) = parse_flag(args, "--budget") {
+    if let Some(budget) = args.get("--budget") {
         config = config.with_base_budget(budget);
     }
-    if let Some(attempts) = parse_flag(args, "--max-attempts") {
+    if let Some(attempts) = args.get("--max-attempts") {
         config = config.with_max_attempts(attempts);
     }
-    if let Some(v) = flag_value(args, "--mem-limit") {
+    if let Some(v) = args.value("--mem-limit") {
         let bytes = parse_size(v).unwrap_or_else(|| {
-            eprintln!("bad --mem-limit '{v}' (expected bytes with optional K/M/G suffix)");
-            exit(2);
+            args.fail(format!(
+                "bad --mem-limit '{v}' (expected bytes with optional K/M/G suffix)"
+            ))
         });
         config = config.with_mem_limit(bytes);
     }
@@ -551,8 +671,9 @@ fn parse_size(v: &str) -> Option<usize> {
 #[cfg(unix)]
 mod signals {
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
 
-    pub static SHUTDOWN: AtomicBool = AtomicBool::new(false);
+    static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
     extern "C" {
         fn signal(signum: i32, handler: usize) -> usize;
@@ -562,221 +683,210 @@ mod signals {
     extern "C" fn on_signal(_sig: i32) {
         if SHUTDOWN.swap(true, Ordering::Relaxed) {
             // Second signal: the user really means it.
+            // SAFETY: `_exit` is async-signal-safe and takes no pointers.
             unsafe { _exit(130) }
         }
     }
 
-    /// Installs the graceful handler for SIGINT (2) and SIGTERM (15).
-    pub fn install() {
+    /// Installs the graceful handler for SIGINT (2) and SIGTERM (15) and
+    /// returns the cooperative interrupt flag a first signal sets.
+    pub fn interrupt_flag() -> Arc<AtomicBool> {
         let handler = on_signal as extern "C" fn(i32) as usize;
+        // SAFETY: `handler` is an `extern "C" fn(i32)` that lives for the
+        // whole program and only touches an atomic and `_exit`, both
+        // async-signal-safe; 2 and 15 are valid signal numbers.
         unsafe {
             signal(2, handler);
             signal(15, handler);
         }
-    }
-}
-
-fn cmd_campaign(args: &[String]) {
-    use gqed::campaign::{
-        chaos_kill_plan, enumerate_obligations, manifest_crc, Campaign, FleetConfig, Journal,
-        Telemetry, VerdictStore,
-    };
-
-    let designs: Vec<String> = args
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| {
-            !a.starts_with("--")
-                && !matches!(
-                    args.get(i.wrapping_sub(1)).map(String::as_str),
-                    Some(
-                        "--jobs"
-                            | "--deadline-ms"
-                            | "--budget"
-                            | "--max-attempts"
-                            | "--telemetry"
-                            | "--flow"
-                            | "--journal"
-                            | "--resume"
-                            | "--mem-limit"
-                            | "--summary-out"
-                            | "--engines"
-                            | "--store"
-                            | "--fleet"
-                            | "--crash-budget"
-                            | "--heartbeat-timeout-ms"
-                            | "--chaos-kills"
-                            | "--chaos-seed"
-                    )
-                )
-        })
-        .map(|(_, a)| a.clone())
-        .collect();
-    if designs.is_empty() && !has_flag(args, "--all") {
-        eprintln!(
-            "usage: gqed campaign [<design>…|--all] [--jobs n] [--deadline-ms m] [--budget c]"
-        );
-        eprintln!("                     [--max-attempts n] [--telemetry file] [--flow gqed,aqed,conv] [--no-race]");
-        eprintln!("                     [--engines bmc,kind,pdr] [--journal file] [--resume file]");
-        eprintln!(
-            "                     [--mem-limit bytes[K|M|G]] [--summary-out file] [--store file]"
-        );
-        eprintln!(
-            "                     [--fleet n] [--crash-budget n] [--heartbeat-timeout-ms m] [--chaos-kills n] [--chaos-seed s]"
-        );
-        exit(2);
-    }
-    for name in &designs {
-        find_design(name); // validate early with the friendly error
-    }
-
-    let flows = parse_flows(args);
-    let interrupt = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let config = campaign_config_from_args(args).with_interrupt(std::sync::Arc::clone(&interrupt));
-    let store = flag_value(args, "--store").map(|path| {
-        VerdictStore::open(std::path::Path::new(path)).unwrap_or_else(|e| {
-            eprintln!("cannot open verdict store {path}: {e}");
-            exit(1);
-        })
-    });
-    let telemetry = match flag_value(args, "--telemetry") {
-        Some(path) => Telemetry::file(std::path::Path::new(path)).unwrap_or_else(|e| {
-            eprintln!("cannot open telemetry file {path}: {e}");
-            exit(1);
-        }),
-        None => Telemetry::null(),
-    };
-
-    let obligations = enumerate_obligations(flows, &designs);
-
-    // Process isolation: --fleet n solves on n supervised `gqed worker`
-    // child processes; --chaos-kills injects deterministic worker deaths
-    // for crash-containment testing.
-    let fleet = flag_value(args, "--fleet").map(|v| {
-        let workers: usize = v.parse().unwrap_or_else(|_| {
-            eprintln!("--fleet expects a worker count, got {v}");
-            exit(2);
-        });
-        let mut f = FleetConfig::default().with_workers(workers);
-        if let Some(v) = flag_value(args, "--crash-budget") {
-            f = f.with_crash_budget(v.parse().unwrap_or_else(|_| {
-                eprintln!("--crash-budget expects a count, got {v}");
-                exit(2);
-            }));
-        }
-        if let Some(v) = flag_value(args, "--heartbeat-timeout-ms") {
-            f = f.with_heartbeat_timeout_ms(v.parse().unwrap_or_else(|_| {
-                eprintln!("--heartbeat-timeout-ms expects milliseconds, got {v}");
-                exit(2);
-            }));
-        }
-        if let Some(v) = flag_value(args, "--chaos-kills") {
-            let kills: usize = v.parse().unwrap_or_else(|_| {
-                eprintln!("--chaos-kills expects a count, got {v}");
-                exit(2);
-            });
-            let seed: u64 = match flag_value(args, "--chaos-seed") {
-                Some(s) => s.parse().unwrap_or_else(|_| {
-                    eprintln!("--chaos-seed expects an integer, got {s}");
-                    exit(2);
-                }),
-                None => 1,
-            };
-            f = f.with_faults(chaos_kill_plan(&obligations, kills, seed));
-        }
-        f
-    });
-
-    // Crash-safe journaling: --resume replays (and truncates) an existing
-    // journal and keeps appending to it; --journal starts a fresh one.
-    if flag_value(args, "--journal").is_some() && flag_value(args, "--resume").is_some() {
-        eprintln!("--journal and --resume are mutually exclusive (resume appends to its journal)");
-        exit(2);
-    }
-    let (journal, resume) = if let Some(path) = flag_value(args, "--resume") {
-        let (journal, state) = Journal::resume(std::path::Path::new(path)).unwrap_or_else(|e| {
-            eprintln!("cannot resume journal {path}: {e}");
-            exit(1);
-        });
-        match state.manifest_crc {
-            Some(crc) if crc == manifest_crc(&obligations) => {}
-            Some(_) => {
-                eprintln!(
-                    "journal {path} belongs to a different obligation set (manifest mismatch); \
-                     re-run with the original designs/flows"
-                );
-                exit(2);
-            }
-            None => {
-                eprintln!("journal {path} has no campaign_start record; cannot verify manifest");
-                exit(2);
-            }
-        }
-        eprintln!(
-            "resuming: {} of {} obligations already settled",
-            state.completed.len(),
-            obligations.len()
-        );
-        (Some(journal), Some(state))
-    } else if let Some(path) = flag_value(args, "--journal") {
-        let journal = Journal::create(std::path::Path::new(path)).unwrap_or_else(|e| {
-            eprintln!("cannot create journal {path}: {e}");
-            exit(1);
-        });
-        (Some(journal), None)
-    } else {
-        (None, None)
-    };
-
-    // Graceful shutdown: forward SIGINT/SIGTERM into the campaign's
-    // cooperative interrupt flag.
-    #[cfg(unix)]
-    {
-        signals::install();
-        let flag = std::sync::Arc::clone(&interrupt);
+        let flag = Arc::new(AtomicBool::new(false));
+        let forward = Arc::clone(&flag);
         std::thread::spawn(move || loop {
-            if signals::SHUTDOWN.load(std::sync::atomic::Ordering::Relaxed) {
-                eprintln!("interrupt received; checkpointing and shutting down…");
-                flag.store(true, std::sync::atomic::Ordering::Relaxed);
+            if SHUTDOWN.load(Ordering::Relaxed) {
+                eprintln!("interrupt received; shutting down…");
+                forward.store(true, Ordering::Relaxed);
                 break;
             }
             std::thread::sleep(std::time::Duration::from_millis(25));
         });
+        flag
     }
+}
 
+#[cfg(not(unix))]
+mod signals {
+    /// Without Unix signals nothing ever sets the flag.
+    pub fn interrupt_flag() -> std::sync::Arc<std::sync::atomic::AtomicBool> {
+        Default::default()
+    }
+}
+
+/// The result's value; on an error, prints `context: error` and exits 1.
+fn or_exit<T, E: std::fmt::Display>(result: Result<T, E>, context: impl std::fmt::Display) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("{context}: {e}");
+        exit(1)
+    })
+}
+
+fn open_telemetry(args: &Args) -> Telemetry {
+    match args.value("--telemetry") {
+        Some(path) => or_exit(
+            Telemetry::file(Path::new(path)),
+            format!("cannot open telemetry file {path}"),
+        ),
+        None => Telemetry::null(),
+    }
+}
+
+fn write_summary(args: &Args, normalized: &str) {
+    if let Some(path) = args.value("--summary-out") {
+        let written = std::fs::write(path, normalized);
+        or_exit(written, format!("cannot write summary file {path}"));
+    }
+}
+
+/// The design operands of `campaign`/`mutants`/`submit`, validated early
+/// with the friendly error.
+fn design_operands(args: &Args) -> &[String] {
+    for name in &args.operands {
+        find_design(name);
+    }
+    &args.operands
+}
+
+/// Runs `obligations` with the setup `campaign` and `mutants` share:
+/// telemetry, the verdict store, `--journal`/`--resume` (refusing a
+/// journal of another obligation set), SIGINT/SIGTERM forwarded into
+/// the interrupt flag, and the `--summary-out` write.
+fn run_campaign(
+    args: &Args,
+    obligations: &[Obligation],
+    config: CampaignConfig,
+    fleet: Option<FleetConfig>,
+) -> CampaignSummary {
+    use gqed::campaign::{manifest_crc, Campaign, Journal, VerdictStore};
+
+    let telemetry = open_telemetry(args);
+    let store = args.value("--store").map(|path| {
+        let store = VerdictStore::open(Path::new(path));
+        or_exit(store, format!("cannot open verdict store {path}"))
+    });
+
+    // Crash-safe journaling: --resume replays (and truncates) an existing
+    // journal and keeps appending to it; --journal starts a fresh one.
+    let (journal, resume) = match (args.value("--journal"), args.value("--resume")) {
+        (Some(_), Some(_)) => args
+            .fail("--journal and --resume are mutually exclusive (resume appends to its journal)"),
+        (None, Some(path)) => {
+            let replayed = Journal::resume(Path::new(path));
+            let (journal, state) = or_exit(replayed, format!("cannot resume journal {path}"));
+            match state.manifest_crc {
+                Some(crc) if crc == manifest_crc(obligations) => {}
+                Some(_) => {
+                    // Mutant ids embed the seed, so this also rejects a
+                    // journal from a different --seed or --per-design.
+                    eprintln!(
+                        "journal {path} belongs to a different obligation set (manifest mismatch); \
+                         re-run with the original designs/flows/seed"
+                    );
+                    exit(2);
+                }
+                None => {
+                    eprintln!(
+                        "journal {path} has no campaign_start record; cannot verify manifest"
+                    );
+                    exit(2);
+                }
+            }
+            eprintln!(
+                "resuming: {} of {} obligations already settled",
+                state.completed.len(),
+                obligations.len()
+            );
+            (Some(journal), Some(state))
+        }
+        (Some(path), None) => {
+            let journal = Journal::create(Path::new(path));
+            (
+                Some(or_exit(journal, format!("cannot create journal {path}"))),
+                None,
+            )
+        }
+        (None, None) => (None, None),
+    };
+
+    let config = config.with_interrupt(signals::interrupt_flag());
     match fleet.as_ref() {
         Some(f) => eprintln!(
-            "campaign: {} obligations, {} worker process(es)…",
+            "{}: {} obligations, {} worker process(es)…",
+            args.cmd.name,
             obligations.len(),
             f.workers.max(1)
         ),
         None => eprintln!(
-            "campaign: {} obligations, {} worker(s)…",
+            "{}: {} obligations, {} worker(s)…",
+            args.cmd.name,
             obligations.len(),
             config.jobs.max(1)
         ),
     }
-    let mut campaign = Campaign::new(&obligations).config(config.clone());
+    let mut campaign = Campaign::new(obligations).config(config);
     if let Some(j) = journal.as_ref() {
         campaign = campaign.journal(j);
     }
     if let Some(s) = resume.as_ref() {
         campaign = campaign.resume(s);
     }
-    if let Some(store) = store.as_ref() {
-        campaign = campaign.verdict_store(store);
+    if let Some(s) = store.as_ref() {
+        campaign = campaign.verdict_store(s);
     }
-    if let Some(f) = fleet.clone() {
+    if let Some(f) = fleet {
         campaign = campaign.fleet(f);
     }
     let summary = campaign.run(&telemetry);
+    write_summary(args, &summary.normalized_render());
+    summary
+}
 
-    if let Some(path) = flag_value(args, "--summary-out") {
-        std::fs::write(path, summary.normalized_render()).unwrap_or_else(|e| {
-            eprintln!("cannot write summary file {path}: {e}");
-            exit(1);
-        });
+fn print_store_counters(args: &Args, summary: &CampaignSummary) {
+    if args.value("--store").is_some() {
+        println!(
+            "verdict store: {} cache hits, {} cache misses",
+            summary.cache_hits, summary.cache_misses
+        );
     }
+}
+
+fn cmd_campaign(args: &Args) {
+    use gqed::campaign::{chaos_kill_plan, default_portfolio, enumerate_obligations};
+
+    let designs = design_operands(args);
+    if designs.is_empty() && !args.has("--all") {
+        args.fail("name the designs to run, or pass --all");
+    }
+    let config = campaign_config_from_args(args, default_portfolio());
+    let obligations = enumerate_obligations(parse_flows(args), designs);
+
+    // Process isolation: --fleet n solves on n supervised `gqed worker`
+    // child processes; --chaos-kills injects deterministic worker deaths
+    // for crash-containment testing.
+    let fleet = args.get("--fleet").map(|workers| {
+        let mut f = FleetConfig::default().with_workers(workers);
+        if let Some(n) = args.get("--crash-budget") {
+            f = f.with_crash_budget(n);
+        }
+        if let Some(ms) = args.get("--heartbeat-timeout-ms") {
+            f = f.with_heartbeat_timeout_ms(ms);
+        }
+        if let Some(kills) = args.get("--chaos-kills") {
+            let seed = args.get("--chaos-seed").unwrap_or(1);
+            f = f.with_faults(chaos_kill_plan(&obligations, kills, seed));
+        }
+        f
+    });
+    let is_fleet = fleet.is_some();
+    let summary = run_campaign(args, &obligations, config, fleet);
 
     println!(
         "{:34} {:8} {:44} {:>3} {:>10}  engine",
@@ -813,177 +923,39 @@ fn cmd_campaign(args: &[String]) {
         "engine wins: {} bmc, {} kind, {} pdr",
         summary.wins_bmc, summary.wins_kind, summary.wins_pdr
     );
-    if fleet.is_some() {
+    if is_fleet {
         println!(
             "fleet: {} worker crash(es), {} restart(s), {} requeue(s)",
             summary.worker_crashes, summary.worker_restarts, summary.requeued
         );
     }
-    if store.is_some() {
-        println!(
-            "verdict store: {} cache hits, {} cache misses",
-            summary.cache_hits, summary.cache_misses
-        );
-    }
+    print_store_counters(args, &summary);
     exit(summary.exit_code());
 }
 
-fn cmd_mutants(args: &[String]) {
-    use gqed::campaign::{
-        enumerate_mutant_obligations, manifest_crc, Campaign, EngineId, Journal, MutantsReport,
-        Telemetry, VerdictStore, DEFAULT_DETECTION_FLOOR,
-    };
+fn cmd_mutants(args: &Args) {
+    use gqed::campaign::{enumerate_mutant_obligations, MutantsReport, DEFAULT_DETECTION_FLOOR};
 
-    let designs: Vec<String> = args
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| {
-            !a.starts_with("--")
-                && !matches!(
-                    args.get(i.wrapping_sub(1)).map(String::as_str),
-                    Some(
-                        "--jobs"
-                            | "--deadline-ms"
-                            | "--budget"
-                            | "--max-attempts"
-                            | "--telemetry"
-                            | "--flow"
-                            | "--journal"
-                            | "--resume"
-                            | "--mem-limit"
-                            | "--summary-out"
-                            | "--engines"
-                            | "--store"
-                            | "--seed"
-                            | "--per-design"
-                            | "--out"
-                            | "--floor"
-                    )
-                )
-        })
-        .map(|(_, a)| a.clone())
-        .collect();
-    for name in &designs {
-        find_design(name); // validate early with the friendly error
-    }
-
-    let seed: u64 = parse_flag(args, "--seed").unwrap_or(1);
-    let per_design: usize = parse_flag(args, "--per-design").unwrap_or(10);
-    let floor: f64 = parse_flag(args, "--floor").unwrap_or(DEFAULT_DETECTION_FLOOR);
-    let out = flag_value(args, "--out").unwrap_or("BENCH_mutants.json");
-
-    let flows = parse_flows(args);
-    let interrupt = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let mut config =
-        campaign_config_from_args(args).with_interrupt(std::sync::Arc::clone(&interrupt));
+    let designs = design_operands(args);
+    let seed: u64 = args.get("--seed").unwrap_or(1);
+    let per_design: usize = args.get("--per-design").unwrap_or(10);
+    let floor: f64 = args.get("--floor").unwrap_or(DEFAULT_DETECTION_FLOOR);
+    let out = args.value("--out").unwrap_or("BENCH_mutants.json");
     // Detection-rate tables must be byte-identical across runs and worker
     // counts, so the racing portfolio defaults off; --engines opts back in.
-    if flag_value(args, "--engines").is_none() && !has_flag(args, "--no-race") {
-        config = config.with_engines(vec![EngineId::Bmc]);
-    }
-    let store = flag_value(args, "--store").map(|path| {
-        VerdictStore::open(std::path::Path::new(path)).unwrap_or_else(|e| {
-            eprintln!("cannot open verdict store {path}: {e}");
-            exit(1);
-        })
-    });
-    let telemetry = match flag_value(args, "--telemetry") {
-        Some(path) => Telemetry::file(std::path::Path::new(path)).unwrap_or_else(|e| {
-            eprintln!("cannot open telemetry file {path}: {e}");
-            exit(1);
-        }),
-        None => Telemetry::null(),
-    };
+    let config = campaign_config_from_args(args, vec![EngineId::Bmc]);
+    let flows = parse_flows(args);
 
     eprintln!("mutants: synthesizing {per_design} mutant(s) per design with seed {seed}…");
-    let batch = enumerate_mutant_obligations(seed, per_design, flows, &designs);
-    let obligations = &batch.obligations;
+    let batch = enumerate_mutant_obligations(seed, per_design, flows, designs);
     eprintln!(
         "mutants: {} accepted ({} no-ops and {} duplicates discarded before solving), {} obligations",
         batch.plans.len(),
         batch.discarded_noops,
         batch.discarded_dups,
-        obligations.len()
+        batch.obligations.len()
     );
-
-    if flag_value(args, "--journal").is_some() && flag_value(args, "--resume").is_some() {
-        eprintln!("--journal and --resume are mutually exclusive (resume appends to its journal)");
-        exit(2);
-    }
-    let (journal, resume) = if let Some(path) = flag_value(args, "--resume") {
-        let (journal, state) = Journal::resume(std::path::Path::new(path)).unwrap_or_else(|e| {
-            eprintln!("cannot resume journal {path}: {e}");
-            exit(1);
-        });
-        match state.manifest_crc {
-            Some(crc) if crc == manifest_crc(obligations) => {}
-            Some(_) => {
-                // Mutant ids embed the seed, so this also rejects a journal
-                // from a different --seed or --per-design.
-                eprintln!(
-                    "journal {path} belongs to a different mutant batch (manifest mismatch); \
-                     re-run with the original seed/designs/flows"
-                );
-                exit(2);
-            }
-            None => {
-                eprintln!("journal {path} has no campaign_start record; cannot verify manifest");
-                exit(2);
-            }
-        }
-        eprintln!(
-            "resuming: {} of {} obligations already settled",
-            state.completed.len(),
-            obligations.len()
-        );
-        (Some(journal), Some(state))
-    } else if let Some(path) = flag_value(args, "--journal") {
-        let journal = Journal::create(std::path::Path::new(path)).unwrap_or_else(|e| {
-            eprintln!("cannot create journal {path}: {e}");
-            exit(1);
-        });
-        (Some(journal), None)
-    } else {
-        (None, None)
-    };
-
-    #[cfg(unix)]
-    {
-        signals::install();
-        let flag = std::sync::Arc::clone(&interrupt);
-        std::thread::spawn(move || loop {
-            if signals::SHUTDOWN.load(std::sync::atomic::Ordering::Relaxed) {
-                eprintln!("interrupt received; checkpointing and shutting down…");
-                flag.store(true, std::sync::atomic::Ordering::Relaxed);
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(25));
-        });
-    }
-
-    eprintln!(
-        "mutants: {} obligations, {} worker(s)…",
-        obligations.len(),
-        config.jobs.max(1)
-    );
-    let mut campaign = Campaign::new(obligations).config(config.clone());
-    if let Some(j) = journal.as_ref() {
-        campaign = campaign.journal(j);
-    }
-    if let Some(s) = resume.as_ref() {
-        campaign = campaign.resume(s);
-    }
-    if let Some(store) = store.as_ref() {
-        campaign = campaign.verdict_store(store);
-    }
-    let summary = campaign.run(&telemetry);
-
-    if let Some(path) = flag_value(args, "--summary-out") {
-        std::fs::write(path, summary.normalized_render()).unwrap_or_else(|e| {
-            eprintln!("cannot write summary file {path}: {e}");
-            exit(1);
-        });
-    }
+    let summary = run_campaign(args, &batch.obligations, config, None);
 
     let report = MutantsReport::from_summary(&batch, &summary, floor);
     print!("{}", report.render_table());
@@ -991,16 +963,9 @@ fn cmd_mutants(args: &[String]) {
         "engine wins: {} bmc, {} kind, {} pdr",
         report.wins_bmc, report.wins_kind, report.wins_pdr
     );
-    if store.is_some() {
-        println!(
-            "verdict store: {} cache hits, {} cache misses",
-            summary.cache_hits, summary.cache_misses
-        );
-    }
-    std::fs::write(out, report.to_json().render() + "\n").unwrap_or_else(|e| {
-        eprintln!("cannot write {out}: {e}");
-        exit(1);
-    });
+    print_store_counters(args, &summary);
+    let written = std::fs::write(out, report.to_json().render() + "\n");
+    or_exit(written, format!("cannot write {out}"));
     eprintln!("report: {out}");
     if summary.exit_code() != 0 {
         exit(summary.exit_code());
@@ -1011,187 +976,96 @@ fn cmd_mutants(args: &[String]) {
     }
 }
 
-fn cmd_serve(args: &[String]) {
-    use gqed::campaign::{serve, ServeOptions, Telemetry};
+fn cmd_serve(args: &Args) {
+    use gqed::campaign::{default_portfolio, serve, ServeOptions};
 
-    let interrupt = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let config = campaign_config_from_args(args).with_interrupt(std::sync::Arc::clone(&interrupt));
-    let telemetry = match flag_value(args, "--telemetry") {
-        Some(path) => Telemetry::file(std::path::Path::new(path)).unwrap_or_else(|e| {
-            eprintln!("cannot open telemetry file {path}: {e}");
-            exit(1);
-        }),
-        None => Telemetry::null(),
-    };
     let mut opts = ServeOptions {
-        config,
-        store: flag_value(args, "--store").map(std::path::PathBuf::from),
-        telemetry,
+        config: campaign_config_from_args(args, default_portfolio()),
+        store: args.value("--store").map(std::path::PathBuf::from),
+        telemetry: open_telemetry(args),
         ..ServeOptions::default()
     };
-    if let Some(v) = flag_value(args, "--max-request-bytes") {
-        opts.max_request_bytes = v.parse().unwrap_or_else(|_| {
-            eprintln!("--max-request-bytes expects a byte count, got {v}");
-            exit(2);
-        });
+    if let Some(bytes) = args.get("--max-request-bytes") {
+        opts.max_request_bytes = bytes;
     }
-    if let Some(v) = flag_value(args, "--read-timeout-ms") {
-        let ms: u64 = v.parse().unwrap_or_else(|_| {
-            eprintln!("--read-timeout-ms expects milliseconds, got {v}");
-            exit(2);
-        });
-        opts.read_timeout = if ms == 0 {
-            None
-        } else {
-            Some(std::time::Duration::from_millis(ms))
-        };
+    if let Some(ms) = args.get("--read-timeout-ms") {
+        opts.read_timeout = (ms > 0).then(|| std::time::Duration::from_millis(ms));
     }
-    let addr = flag_value(args, "--addr").unwrap_or("127.0.0.1:7878");
-    let listener = std::net::TcpListener::bind(addr).unwrap_or_else(|e| {
-        eprintln!("cannot bind {addr}: {e}");
-        exit(1);
-    });
+    let addr = args.value("--addr").unwrap_or("127.0.0.1:7878");
+    let listener = or_exit(
+        std::net::TcpListener::bind(addr),
+        format!("cannot bind {addr}"),
+    );
     let local = listener
         .local_addr()
         .expect("bound listener has an address");
 
     // Ctrl-C stops the accept loop between connections.
-    #[cfg(unix)]
-    {
-        signals::install();
-        let flag = std::sync::Arc::clone(&interrupt);
-        std::thread::spawn(move || loop {
-            if signals::SHUTDOWN.load(std::sync::atomic::Ordering::Relaxed) {
-                flag.store(true, std::sync::atomic::Ordering::Relaxed);
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(25));
-        });
-    }
+    opts.config.interrupt = Some(signals::interrupt_flag());
 
     println!("gqed serve: listening on {local}");
     match opts.store.as_deref() {
         Some(path) => eprintln!("verdict store: {}", path.display()),
         None => eprintln!("verdict store: in-memory (process lifetime)"),
     }
-    match serve(listener, &opts) {
-        Ok(summary) => eprintln!(
-            "gqed serve: shut down after {} connection(s), {} batch(es), {} connection error(s), {} oversize request(s), {} timeout(s)",
-            summary.connections,
-            summary.batches,
-            summary.connection_errors,
-            summary.oversize_requests,
-            summary.timeouts
-        ),
-        Err(e) => {
-            eprintln!("serve failed: {e}");
-            exit(1);
-        }
-    }
+    let summary = or_exit(serve(listener, &opts), "serve failed");
+    eprintln!(
+        "gqed serve: shut down after {} connection(s), {} batch(es), {} connection error(s), {} oversize request(s), {} timeout(s)",
+        summary.connections,
+        summary.batches,
+        summary.connection_errors,
+        summary.oversize_requests,
+        summary.timeouts
+    );
 }
 
-fn cmd_submit(args: &[String]) {
+fn cmd_submit(args: &Args) {
     use gqed::campaign::{
         enumerate_obligations, request_shutdown, submit_batch_with_retry, BatchRequest,
-        ObligationSpec, Telemetry,
+        ObligationSpec,
     };
 
-    let addr = flag_value(args, "--addr").unwrap_or("127.0.0.1:7878");
-    if has_flag(args, "--shutdown") {
-        if let Err(e) = request_shutdown(addr) {
-            eprintln!("shutdown request failed: {e}");
-            exit(1);
-        }
+    let addr = args.value("--addr").unwrap_or("127.0.0.1:7878");
+    if args.has("--shutdown") {
+        or_exit(request_shutdown(addr), "shutdown request failed");
         eprintln!("server at {addr} acknowledged shutdown");
         return;
     }
 
-    let designs: Vec<String> = args
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| {
-            !a.starts_with("--")
-                && !matches!(
-                    args.get(i.wrapping_sub(1)).map(String::as_str),
-                    Some(
-                        "--addr"
-                            | "--batch"
-                            | "--flow"
-                            | "--jobs"
-                            | "--deadline-ms"
-                            | "--budget"
-                            | "--max-attempts"
-                            | "--engines"
-                            | "--telemetry"
-                            | "--summary-out"
-                            | "--retries"
-                            | "--retry-delay-ms"
-                    )
-                )
-        })
-        .map(|(_, a)| a.clone())
-        .collect();
-    if designs.is_empty() && !has_flag(args, "--all") {
-        eprintln!("usage: gqed submit [<design>…|--all] [--addr host:port] [--batch label]");
-        eprintln!(
-            "                   [--flow gqed,aqed,conv] [--jobs n] [--deadline-ms m] [--budget c]"
-        );
-        eprintln!("                   [--max-attempts n] [--engines bmc,kind,pdr]");
-        eprintln!("                   [--telemetry file] [--summary-out file] [--shutdown]");
-        eprintln!("                   [--retries n] [--retry-delay-ms m]");
-        exit(2);
+    let designs = design_operands(args);
+    if designs.is_empty() && !args.has("--all") {
+        args.fail("name the designs to submit, or pass --all");
     }
-    for name in &designs {
-        find_design(name);
-    }
-
-    let obligations = enumerate_obligations(parse_flows(args), &designs);
-    let specs: Vec<ObligationSpec> = obligations
-        .iter()
-        .filter_map(ObligationSpec::from_obligation)
-        .collect();
+    let obligations = enumerate_obligations(parse_flows(args), designs);
     let request = BatchRequest {
-        batch: flag_value(args, "--batch").unwrap_or("batch").to_string(),
-        jobs: parse_flag(args, "--jobs"),
-        deadline_ms: parse_flag(args, "--deadline-ms"),
-        budget: parse_flag(args, "--budget"),
-        max_attempts: parse_flag(args, "--max-attempts"),
-        engines: flag_value(args, "--engines")
+        batch: args.value("--batch").unwrap_or("batch").to_string(),
+        jobs: args.get("--jobs"),
+        deadline_ms: args.get("--deadline-ms"),
+        budget: args.get("--budget"),
+        max_attempts: args.get("--max-attempts"),
+        engines: args
+            .value("--engines")
             .map(|list| list.split(',').map(str::to_string).collect()),
-        obligations: specs,
+        obligations: obligations
+            .iter()
+            .filter_map(ObligationSpec::from_obligation)
+            .collect(),
     };
+    let retries: u32 = args.get("--retries").unwrap_or(0);
+    let retry_delay = std::time::Duration::from_millis(args.get("--retry-delay-ms").unwrap_or(200));
 
-    let telemetry = match flag_value(args, "--telemetry") {
-        Some(path) => Telemetry::file(std::path::Path::new(path)).unwrap_or_else(|e| {
-            eprintln!("cannot open telemetry file {path}: {e}");
-            exit(1);
-        }),
-        None => Telemetry::null(),
-    };
+    let telemetry = open_telemetry(args);
     eprintln!(
         "submitting {} obligations to {addr}…",
         request.obligations.len()
     );
-    let retries: u32 = parse_flag(args, "--retries").unwrap_or(0);
-    let retry_delay =
-        std::time::Duration::from_millis(parse_flag(args, "--retry-delay-ms").unwrap_or(200));
-    let response = match submit_batch_with_retry(addr, &request, retries, retry_delay, |event| {
+    let response = submit_batch_with_retry(addr, &request, retries, retry_delay, |event| {
         telemetry.emit(event)
-    }) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("submit failed: {e}");
-            exit(1);
-        }
-    };
+    });
+    let response = or_exit(response, "submit failed");
     telemetry.sync();
 
-    if let Some(path) = flag_value(args, "--summary-out") {
-        std::fs::write(path, &response.normalized).unwrap_or_else(|e| {
-            eprintln!("cannot write summary file {path}: {e}");
-            exit(1);
-        });
-    }
+    write_summary(args, &response.normalized);
     print!("{}", response.normalized);
     println!(
         "\nbatch '{}': {} obligations in {}ms on {} worker(s): {} violations, {} passes, {} unknown, {} timeouts, {} failures, {} cancelled, {} mismatches",
@@ -1214,27 +1088,21 @@ fn cmd_submit(args: &[String]) {
     exit(i32::try_from(response.exit_code).unwrap_or(1));
 }
 
-fn cmd_bench(args: &[String]) {
-    use gqed::campaign::{run_bench, Telemetry};
+fn cmd_worker(_: &Args) {
+    exit(gqed::campaign::run_worker());
+}
 
-    let quick = has_flag(args, "--quick");
-    let out = flag_value(args, "--out").unwrap_or("BENCH_pipeline.json");
-    let telemetry = match flag_value(args, "--telemetry") {
-        Some(path) => Telemetry::file(std::path::Path::new(path)).unwrap_or_else(|e| {
-            eprintln!("cannot open telemetry file {path}: {e}");
-            exit(1);
-        }),
-        None => Telemetry::null(),
-    };
+fn cmd_bench(args: &Args) {
+    let quick = args.has("--quick");
+    let out = args.value("--out").unwrap_or("BENCH_pipeline.json");
+    let telemetry = open_telemetry(args);
     eprintln!(
         "bench: {} suite, cold then warm…",
         if quick { "quick" } else { "full" }
     );
-    let report = run_bench(quick, &telemetry);
-    std::fs::write(out, report.to_json().render() + "\n").unwrap_or_else(|e| {
-        eprintln!("cannot write {out}: {e}");
-        exit(1);
-    });
+    let report = gqed::campaign::run_bench(quick, &telemetry);
+    let written = std::fs::write(out, report.to_json().render() + "\n");
+    or_exit(written, format!("cannot write {out}"));
     for run in [&report.cold, &report.warm] {
         println!(
             "{:4}  {:>8.2?}  {:>6} frames  {:>8.1} frames/s  {:>8} conflicts  {:>9} peak arena B  {} resumes",
@@ -1275,16 +1143,10 @@ fn cmd_bench(args: &[String]) {
     }
 }
 
-fn cmd_productivity(args: &[String]) {
-    let features: u32 = flag_value(args, "--features")
-        .map(|v| v.parse().expect("bad --features"))
-        .unwrap_or(120);
-    let properties: u32 = flag_value(args, "--properties")
-        .map(|v| v.parse().expect("bad --properties"))
-        .unwrap_or(160);
+fn cmd_productivity(args: &Args) {
     let cs = CaseStudy {
-        features,
-        properties,
+        features: args.get("--features").unwrap_or(120),
+        properties: args.get("--properties").unwrap_or(160),
     };
     let c = ConventionalCosts::default();
     let g = GqedCosts::default();
@@ -1294,4 +1156,81 @@ fn cmd_productivity(args: &[String]) {
         gqed_person_days(&cs, &g),
         productivity_gain(&cs, &c, &g)
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    fn parse(name: &str, line: &str) -> Result<Args, String> {
+        let cmd = COMMANDS.iter().find(|c| c.name == name).unwrap();
+        let raw: Vec<String> = line.split_whitespace().map(String::from).collect();
+        Args::parse(cmd, &raw)
+    }
+
+    #[test]
+    fn command_lines_parse_in_any_order_and_errors_name_the_offender() {
+        let a = parse("campaign", "--flow gqed relu --no-race accum --jobs 2").unwrap();
+        assert_eq!(a.operands, ["relu", "accum"]);
+        assert_eq!(
+            (a.value("--flow"), a.get::<usize>("--jobs")),
+            (Some("gqed"), Some(2))
+        );
+        assert!(a.has("--no-race") && !a.has("--cold"));
+
+        let err = |name, line| parse(name, line).err().unwrap();
+        assert_eq!(err("campaign", "relu --job 2"), "unknown flag --job");
+        assert_eq!(err("campaign", "relu --jobs"), "--jobs needs a value");
+        assert_eq!(
+            err("campaign", "--jobs --cold relu"),
+            "--jobs needs a value"
+        );
+        assert_eq!(err("campaign", "--cold relu --cold"), "--cold given twice");
+        assert_eq!(err("mutants", "--fleet 2"), "unknown flag --fleet");
+        assert_eq!(err("check", "--bug x"), "missing <design>");
+        assert_eq!(err("check", "relu accum"), "unexpected argument 'accum'");
+        assert_eq!(err("list", "relu"), "unexpected argument 'relu'");
+    }
+
+    /// Every `--flag` token in `text`.
+    fn flag_tokens(text: &str) -> BTreeSet<&str> {
+        let mut out = BTreeSet::new();
+        let mut rest = text;
+        while let Some(i) = rest.find("--") {
+            let tail = &rest[i..];
+            let end = tail[2..]
+                .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .map_or(tail.len(), |e| e + 2);
+            out.insert(&tail[..end]);
+            rest = &tail[end..];
+        }
+        out
+    }
+
+    /// The module doc is written by hand; this keeps each subcommand's
+    /// section naming exactly the flags its table declares, each once.
+    #[test]
+    fn module_doc_lists_exactly_the_declared_flags() {
+        let mut sections: BTreeMap<&str, String> = BTreeMap::new();
+        let mut current = None;
+        for line in include_str!("gqed.rs").lines() {
+            let Some(doc) = line.strip_prefix("//!") else {
+                break;
+            };
+            if let Some(header) = doc.strip_prefix(" gqed ") {
+                current = header.split_whitespace().next();
+            }
+            if let Some(name) = current {
+                sections.entry(name).or_default().push_str(doc);
+            }
+        }
+        assert_eq!(sections.len(), COMMANDS.len());
+        for c in COMMANDS {
+            let declared: Vec<&str> = c.flags().map(|(name, _)| name).collect();
+            let unique: BTreeSet<&str> = declared.iter().copied().collect();
+            assert_eq!(declared.len(), unique.len(), "gqed {}", c.name);
+            assert_eq!(flag_tokens(&sections[c.name]), unique, "gqed {}", c.name);
+        }
+    }
 }
