@@ -879,8 +879,9 @@ pub(crate) fn job_done(shared: &Shared, requeue: Option<(usize, u32)>) {
 /// once the interrupt is raised, with a journal checkpoint so a resumed
 /// campaign re-runs them) and the content-addressed store probe (the
 /// first attempt probes before paying for a solve; the key needs the
-/// built model's fingerprint, so synthesis still happens on a hit —
-/// only solving is skipped).
+/// built model's fingerprint, so a hit still resolves the model — from
+/// the shared cache in warm-start mode, where its fingerprint is memoized
+/// too — and only solving is skipped).
 pub(crate) fn preflight(shared: &Shared, index: usize, attempt: u32) -> bool {
     if shared.cancel.load(Ordering::Relaxed) {
         let total_wall = shared.wall_acc.lock().unwrap_or_else(|e| e.into_inner())[index];
@@ -1351,8 +1352,11 @@ fn store_probe(shared: &Shared, index: usize) -> bool {
     // let the normal attempt path hit the same panic, which the worker
     // isolates into a Failed verdict.
     let key = match catch_unwind(AssertUnwindSafe(|| {
-        let model = resolve_model(obl, kind, shared.config, &shared.cache);
-        derive_key(model_fingerprint(&model), obl, shared.config)
+        derive_key(
+            resolve_fingerprint(obl, kind, shared.config, &shared.cache),
+            obl,
+            shared.config,
+        )
     })) {
         Ok(key) => key,
         Err(_) => return false,
@@ -1401,6 +1405,23 @@ fn resolve_model(
         cache.get_or_build(key, || build_model(&build_design(obl), kind))
     } else {
         Arc::new(build_model(&build_design(obl), kind))
+    }
+}
+
+/// The content fingerprint of the model [`resolve_model`] resolves:
+/// memoized in the shared cache in warm-start mode (computed at most once
+/// per `(design, flow)`), computed on every fresh build in cold mode.
+fn resolve_fingerprint(
+    obl: &Obligation,
+    kind: CheckKind,
+    config: &CampaignConfig,
+    cache: &ModelCache,
+) -> u64 {
+    if config.warm_start {
+        let key = cache_model_key(obl, kind);
+        cache.fingerprint(key, || build_model(&build_design(obl), kind))
+    } else {
+        model_fingerprint(&build_model(&build_design(obl), kind))
     }
 }
 

@@ -31,7 +31,7 @@ use crate::store::VerdictStore;
 use crate::telemetry::Telemetry;
 use gqed_core::ModelCache;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -105,54 +105,103 @@ pub fn serve(listener: TcpListener, opts: &ServeOptions) -> std::io::Result<Serv
         None => VerdictStore::in_memory()?,
     };
     let model_cache = Arc::new(ModelCache::new());
-    let interrupt = opts
-        .config
-        .interrupt
-        .clone()
-        .unwrap_or_else(|| Arc::new(AtomicBool::new(false)));
-    // Non-blocking accept so the interrupt flag is polled between
-    // connections; accepted streams are switched back to blocking.
-    listener.set_nonblocking(true)?;
+    let wake = wake_address(&listener)?;
     let shutdown = AtomicBool::new(false);
+    let loop_done = AtomicBool::new(false);
+    let stopping = || {
+        shutdown.load(Ordering::Relaxed)
+            || opts
+                .config
+                .interrupt
+                .as_ref()
+                .is_some_and(|flag| flag.load(Ordering::Relaxed))
+    };
     let mut summary = ServeSummary::default();
-    loop {
-        if shutdown.load(Ordering::Relaxed) || interrupt.load(Ordering::Relaxed) {
-            opts.telemetry.emit(
-                &JsonValue::obj()
-                    .field("type", "serve_summary")
-                    .field("connections", summary.connections)
-                    .field("batches", summary.batches)
-                    .field("connection_errors", summary.connection_errors)
-                    .field("oversize_requests", summary.oversize_requests)
-                    .field("timeouts", summary.timeouts),
-            );
-            opts.telemetry.flush();
-            opts.telemetry.sync();
-            return Ok(summary);
-        }
-        let stream = match listener.accept() {
-            Ok((stream, _peer)) => stream,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
-                continue;
+    std::thread::scope(|scope| {
+        // `accept` blocks, so a raised interrupt flag needs a wake-up: a
+        // watcher thread connects to the listener, and the loop re-checks
+        // for shutdown before it handles any accepted stream. A shutdown
+        // request needs no wake-up — the loop is sequential and checks
+        // before it accepts again.
+        let watcher = opts.config.interrupt.as_ref().map(|flag| {
+            let done = &loop_done;
+            scope.spawn(move || wake_on_interrupt(flag, wake, done))
+        });
+        let outcome = loop {
+            if stopping() {
+                break Ok(());
             }
-            Err(e) => return Err(e),
+            let stream = match listener.accept() {
+                Ok((stream, _peer)) => stream,
+                Err(e) => break Err(e),
+            };
+            if stopping() {
+                // The watcher's wake-up (or a client racing the
+                // interrupt): neither counted nor served.
+                break Ok(());
+            }
+            summary.connections += 1;
+            if let Err(e) =
+                handle_connection(stream, opts, &store, &model_cache, &shutdown, &mut summary)
+            {
+                // A broken client connection must not take the server
+                // down: count it, report it in telemetry, and keep
+                // accepting.
+                summary.connection_errors += 1;
+                opts.telemetry.emit(
+                    &JsonValue::obj()
+                        .field("type", "serve_error")
+                        .field("error", e.to_string())
+                        .field("connection_errors", summary.connection_errors),
+                );
+            }
         };
-        stream.set_nonblocking(false)?;
-        summary.connections += 1;
-        if let Err(e) =
-            handle_connection(stream, opts, &store, &model_cache, &shutdown, &mut summary)
-        {
-            // A broken client connection must not take the server down:
-            // count it, report it in telemetry, and keep accepting.
-            summary.connection_errors += 1;
-            opts.telemetry.emit(
-                &JsonValue::obj()
-                    .field("type", "serve_error")
-                    .field("error", e.to_string())
-                    .field("connection_errors", summary.connection_errors),
-            );
+        loop_done.store(true, Ordering::Relaxed);
+        if let Some(watcher) = watcher {
+            watcher.thread().unpark();
         }
+        outcome
+    })?;
+    opts.telemetry.emit(
+        &JsonValue::obj()
+            .field("type", "serve_summary")
+            .field("connections", summary.connections)
+            .field("batches", summary.batches)
+            .field("connection_errors", summary.connection_errors)
+            .field("oversize_requests", summary.oversize_requests)
+            .field("timeouts", summary.timeouts),
+    );
+    opts.telemetry.flush();
+    opts.telemetry.sync();
+    Ok(summary)
+}
+
+/// The address a wake-up connection reaches `listener` at: its own, with
+/// an unspecified bind address (`0.0.0.0`, `::`) mapped to loopback.
+fn wake_address(listener: &TcpListener) -> std::io::Result<SocketAddr> {
+    let mut addr = listener.local_addr()?;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    Ok(addr)
+}
+
+/// The interrupt watcher of a serve loop blocked in `accept`: polls
+/// `flag` every 25 ms — the bound on Ctrl-C latency, not on requests —
+/// and once it is raised connects to `wake` so `accept` returns. Exits
+/// without connecting once the loop raises `done` (and unparks it).
+fn wake_on_interrupt(flag: &AtomicBool, wake: SocketAddr, done: &AtomicBool) {
+    while !done.load(Ordering::Relaxed) {
+        if flag.load(Ordering::Relaxed) {
+            // A failed connect means the listener's backlog is full or
+            // the loop is gone; either way `accept` is not left waiting.
+            let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+            return;
+        }
+        std::thread::park_timeout(Duration::from_millis(25));
     }
 }
 
@@ -204,6 +253,9 @@ fn handle_connection(
     summary: &mut ServeSummary,
 ) -> std::io::Result<()> {
     stream.set_read_timeout(opts.read_timeout)?;
+    // A response is dozens of small telemetry lines: with Nagle on, a
+    // batch on a kept connection stalls on the client's delayed ACK.
+    stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     loop {
@@ -404,9 +456,11 @@ pub fn request_shutdown(addr: &str) -> Result<(), ApiError> {
     Err(ApiError::new("io", "connection closed before shutdown_ack"))
 }
 
+/// Writes `value` as one `\n`-terminated line in a single write.
 fn send_line(writer: &mut impl Write, value: &JsonValue) -> std::io::Result<()> {
-    writer.write_all(value.render().as_bytes())?;
-    writer.write_all(b"\n")?;
+    let mut line = value.render();
+    line.push('\n');
+    writer.write_all(line.as_bytes())?;
     writer.flush()
 }
 

@@ -88,13 +88,15 @@ impl Telemetry {
         (Self::new(Box::new(buf.clone())), buf)
     }
 
-    /// Emits one event as one JSON line. Write errors are reported to
-    /// stderr once per call but never abort the campaign: losing telemetry
-    /// must not lose verdicts.
+    /// Emits one event as one JSON line, in a single write so an
+    /// unbuffered socket sink sends it as one segment. Write errors are
+    /// reported to stderr once per call but never abort the campaign:
+    /// losing telemetry must not lose verdicts.
     pub fn emit(&self, event: &JsonValue) {
-        let line = event.render();
+        let mut line = event.render();
+        line.push('\n');
         let mut sink = self.sink.lock().unwrap_or_else(|e| e.into_inner());
-        if let Err(e) = writeln!(sink, "{line}") {
+        if let Err(e) = sink.write_all(line.as_bytes()) {
             eprintln!("telemetry write failed: {e}");
         }
     }

@@ -7,15 +7,19 @@
 //! IR invalidates exactly that design's entries.
 
 use gqed_campaign::{
-    derive_key, enumerate_obligations, serve, submit_batch, BatchRequest, Campaign, CampaignConfig,
-    CampaignSummary, EngineId, FlowFilter, JsonValue, Obligation, ObligationKind, ObligationSpec,
-    ReplayedRecord, ServeOptions, Telemetry, VerdictStore,
+    derive_key, enumerate_obligations, serve, submit_batch, BatchRequest, BatchResponse, Campaign,
+    CampaignConfig, CampaignSummary, EngineId, FlowFilter, JsonValue, Obligation, ObligationKind,
+    ObligationSpec, ReplayedRecord, ServeOptions, Telemetry, VerdictStore,
 };
 use gqed_campaign::{request_shutdown, JobVerdict};
 use gqed_core::{build_model, model_fingerprint, CheckKind};
 use gqed_ha::all_designs;
-use std::net::TcpListener;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("gqed-service-{}-{name}", std::process::id()))
@@ -33,6 +37,22 @@ fn relu_obligations() -> Vec<Obligation> {
     let obls = enumerate_obligations(FlowFilter::all(), &["relu".to_string()]);
     assert!(!obls.is_empty());
     obls
+}
+
+/// A batch request for every relu obligation.
+fn relu_request(batch: &str) -> BatchRequest {
+    BatchRequest {
+        batch: batch.to_string(),
+        jobs: None,
+        deadline_ms: None,
+        budget: None,
+        max_attempts: None,
+        engines: None,
+        obligations: relu_obligations()
+            .iter()
+            .map(|o| ObligationSpec::from_obligation(o).unwrap())
+            .collect(),
+    }
 }
 
 #[test]
@@ -193,18 +213,7 @@ fn served_batches_hit_the_cache_on_resubmission() {
     });
 
     let obls = relu_obligations();
-    let request = BatchRequest {
-        batch: "service-test".to_string(),
-        jobs: None,
-        deadline_ms: None,
-        budget: None,
-        max_attempts: None,
-        engines: None,
-        obligations: obls
-            .iter()
-            .map(|o| ObligationSpec::from_obligation(o).unwrap())
-            .collect(),
-    };
+    let request = relu_request("service-test");
     let n = obls.len() as u64;
 
     let first = submit_batch(&addr, &request, |_| {}).unwrap();
@@ -249,8 +258,6 @@ fn served_batches_hit_the_cache_on_resubmission() {
 /// serving well-formed batches afterwards.
 #[test]
 fn oversize_request_gets_a_structured_error_and_the_server_survives() {
-    use std::io::{BufRead, BufReader, Write};
-
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     let server = std::thread::spawn(move || {
@@ -282,19 +289,7 @@ fn oversize_request_gets_a_structured_error_and_the_server_survives() {
     drop(stream);
 
     // The server is still alive and still answers real batches.
-    let obls = relu_obligations();
-    let request = BatchRequest {
-        batch: "after-oversize".to_string(),
-        jobs: None,
-        deadline_ms: None,
-        budget: None,
-        max_attempts: None,
-        engines: None,
-        obligations: obls
-            .iter()
-            .map(|o| ObligationSpec::from_obligation(o).unwrap())
-            .collect(),
-    };
+    let request = relu_request("after-oversize");
     let response = submit_batch(&addr, &request, |_| {}).unwrap();
     assert_eq!(response.exit_code, 0);
 
@@ -312,8 +307,6 @@ fn oversize_request_gets_a_structured_error_and_the_server_survives() {
 /// error, and is counted — without blocking the serve loop.
 #[test]
 fn silent_client_is_timed_out_with_a_structured_error() {
-    use std::io::{BufRead, BufReader};
-
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     let server = std::thread::spawn(move || {
@@ -409,4 +402,103 @@ fn normalized_summary_is_deterministic_across_cold_and_cached_runs() {
         .config(bmc_config(2))
         .run(&Telemetry::null());
     assert_eq!(render(&plain), render(&cold));
+}
+
+/// Raising the interrupt flag stops an idle server blocked in `accept`,
+/// also one bound to the unspecified address, and the watcher's wake-up
+/// connection is neither counted nor served.
+#[test]
+fn interrupt_wakes_an_idle_server_without_counting_the_wake_up() {
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let listener = TcpListener::bind(bind).unwrap();
+        let interrupt = Arc::new(AtomicBool::new(false));
+        let (telemetry, events) = Telemetry::buffer();
+        let opts = ServeOptions {
+            config: bmc_config(1).with_interrupt(Arc::clone(&interrupt)),
+            telemetry,
+            ..ServeOptions::default()
+        };
+        let (done_tx, done_rx) = mpsc::channel();
+        let server = std::thread::spawn(move || {
+            let result = serve(listener, &opts);
+            done_tx.send(()).unwrap();
+            result
+        });
+        // Let the loop reach its blocking `accept` before interrupting.
+        std::thread::sleep(Duration::from_millis(100));
+        interrupt.store(true, Ordering::Relaxed);
+        done_rx
+            .recv_timeout(Duration::from_secs(2))
+            .unwrap_or_else(|_| panic!("server on {bind} ignored the interrupt for 2 s"));
+        let summary = server.join().unwrap().unwrap();
+        assert_eq!(summary.connections, 0, "{bind}: wake-up counted");
+        let summaries: Vec<JsonValue> = events
+            .lines()
+            .iter()
+            .filter_map(|line| gqed_campaign::parse_json(line))
+            .filter(|e| e.get("type").and_then(JsonValue::as_str) == Some("serve_summary"))
+            .collect();
+        assert_eq!(summaries.len(), 1, "{bind}: one serve_summary event");
+        assert_eq!(
+            summaries[0].get("connections").and_then(JsonValue::as_u64),
+            Some(0),
+            "{bind}: wake-up counted in the serve_summary event"
+        );
+    }
+}
+
+/// Sends `request` on an open connection and reads its event stream up
+/// to the final response line.
+fn submit_on(stream: &mut TcpStream, request: &BatchRequest) -> BatchResponse {
+    let mut line = request.to_json().render();
+    line.push('\n');
+    stream.write_all(line.as_bytes()).unwrap();
+    let mut reader = BufReader::new(&*stream);
+    loop {
+        line.clear();
+        assert_ne!(reader.read_line(&mut line).unwrap(), 0, "connection closed");
+        let value = gqed_campaign::parse_json(line.trim()).expect("JSON line");
+        if value.get("type").and_then(JsonValue::as_str) == Some("batch_response") {
+            return BatchResponse::from_json(&value).unwrap();
+        }
+    }
+}
+
+/// Cached resubmissions on one kept connection answer at the speed of the
+/// server's work. A served stream with Nagle on stalls each batch on the
+/// client's delayed ACK (~44 ms, so ~880 ms for these 20).
+#[test]
+fn kept_connection_resubmissions_are_not_delayed() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let server = std::thread::spawn(move || {
+        let opts = ServeOptions {
+            config: bmc_config(1),
+            ..ServeOptions::default()
+        };
+        serve(listener, &opts)
+    });
+    let request = relu_request("kept-connection");
+    let n = request.obligations.len() as u64;
+    let cold = submit_batch(&addr, &request, |_| {}).unwrap();
+    assert_eq!((cold.exit_code, cold.cache_misses), (0, n));
+
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    let start = Instant::now();
+    for i in 0..20 {
+        let warm = submit_on(&mut stream, &request);
+        assert_eq!((warm.cache_hits, warm.cache_misses), (n, 0), "batch {i}");
+        assert_eq!(warm.exit_code, 0, "batch {i}");
+        assert_eq!(warm.normalized, cold.normalized, "batch {i}");
+    }
+    let elapsed = start.elapsed();
+    drop(stream);
+    assert!(
+        elapsed < Duration::from_millis(400),
+        "20 kept-connection resubmissions took {elapsed:?}"
+    );
+
+    request_shutdown(&addr).unwrap();
+    let summary = server.join().unwrap().unwrap();
+    assert_eq!(summary.batches, 21);
 }

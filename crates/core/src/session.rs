@@ -12,20 +12,22 @@
 //!   once, producing an owned [`Model`];
 //! * [`ModelCache`] shares built models across a design's obligations
 //!   (bug check + clean proof + flows), keyed by `(design identity,
-//!   flow)`, with hit/miss counters for telemetry;
+//!   flow)`, with hit/miss counters for telemetry and each model's
+//!   memoized content fingerprint;
 //! * [`CheckSession`] owns a live [`BmcEngine`] over a shared model. On a
 //!   budget/deadline stop the session can simply be kept and re-run: the
 //!   engine resumes at the frame where it stopped, with the whole
 //!   unrolling and every learnt clause intact.
 
 use crate::check::{CheckKind, CheckOutcome, CheckStatus, Verdict};
+use crate::fingerprint::model_fingerprint;
 use crate::wrapper::{synthesize, QedConfig};
 use gqed_bmc::{BmcEngine, BmcLimits, BmcStatus};
 use gqed_ha::Design;
 use gqed_ir::Model;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Builds the fully-preprocessed model that `kind` checks on `design`:
@@ -80,12 +82,21 @@ impl ModelKey {
 /// Thread-safe cache of built models, shared across the obligations (and
 /// racing engine sides) of a verification campaign so wrapper synthesis
 /// and preprocessing happen once per `(design, flow)` rather than once
-/// per attempt.
+/// per attempt. Each entry also memoizes the model's
+/// [`model_fingerprint`], computed on the first
+/// [`ModelCache::fingerprint`] lookup, so a verdict-store probe renders
+/// and hashes a cached model at most once.
 #[derive(Default)]
 pub struct ModelCache {
-    entries: Mutex<HashMap<ModelKey, Arc<Model>>>,
+    entries: Mutex<HashMap<ModelKey, Arc<CacheEntry>>>,
     hits: AtomicU64,
     misses: AtomicU64,
+}
+
+/// One cached model and its lazily computed fingerprint.
+struct CacheEntry {
+    model: Arc<Model>,
+    fingerprint: OnceLock<u64>,
 }
 
 impl ModelCache {
@@ -99,15 +110,33 @@ impl ModelCache {
     /// slow synthesis never blocks other designs; if two threads race on
     /// the same key the first insert wins and both get the same `Arc`.
     pub fn get_or_build(&self, key: ModelKey, build: impl FnOnce() -> Model) -> Arc<Model> {
+        Arc::clone(&self.entry(key, build).model)
+    }
+
+    /// The [`model_fingerprint`] of the cached model for `key`, building
+    /// the model with `build` on a miss (counted like
+    /// [`ModelCache::get_or_build`]). The fingerprint is computed on the
+    /// first call for a key and memoized in the entry beside the model.
+    pub fn fingerprint(&self, key: ModelKey, build: impl FnOnce() -> Model) -> u64 {
+        let entry = self.entry(key, build);
+        *entry
+            .fingerprint
+            .get_or_init(|| model_fingerprint(&entry.model))
+    }
+
+    fn entry(&self, key: ModelKey, build: impl FnOnce() -> Model) -> Arc<CacheEntry> {
         {
             let entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(m) = entries.get(&key) {
+            if let Some(entry) = entries.get(&key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(m);
+                return Arc::clone(entry);
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let built = Arc::new(build());
+        let built = Arc::new(CacheEntry {
+            model: Arc::new(build()),
+            fingerprint: OnceLock::new(),
+        });
         let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
         Arc::clone(entries.entry(key).or_insert(built))
     }
@@ -347,5 +376,34 @@ mod tests {
         // A different bug variant is a different key.
         let other = ModelKey::new("accum", Some("carry-leak"), CheckKind::GQed);
         assert_ne!(other, ModelKey::new("accum", None, CheckKind::GQed));
+    }
+
+    #[test]
+    fn cache_memoizes_each_models_fingerprint() {
+        let cache = ModelCache::new();
+        let mut keyed: Vec<(ModelKey, Design)> = Vec::new();
+        for entry in gqed_ha::all_designs() {
+            for kind in [CheckKind::GQed, CheckKind::AQed, CheckKind::Conventional] {
+                keyed.push((ModelKey::new(entry.name, None, kind), entry.build_clean()));
+            }
+            if entry.name == "relu" {
+                let mutant = gqed_ha::mutation::generate(&entry, 1, 2);
+                let key = ModelKey::new(entry.name, Some("mut-s1-2"), CheckKind::GQed);
+                keyed.push((key, mutant.design));
+            }
+        }
+        for (key, design) in &keyed {
+            let first = cache.fingerprint(key.clone(), || build_model(design, key.kind));
+            let entry = cache.entry(key.clone(), || panic!("{key:?} must be cached"));
+            assert_eq!(first, model_fingerprint(&entry.model), "{key:?}");
+            // The second probe returns the memo of the very same entry:
+            // a `OnceLock` that is already set never runs its initializer.
+            assert_eq!(entry.fingerprint.get(), Some(&first), "{key:?}");
+            let second = cache.fingerprint(key.clone(), || panic!("{key:?} must be cached"));
+            assert_eq!(second, first, "{key:?}");
+            let again = cache.entry(key.clone(), || panic!("{key:?} must be cached"));
+            assert!(Arc::ptr_eq(&entry, &again), "{key:?} entry was replaced");
+        }
+        assert_eq!(cache.misses(), keyed.len() as u64);
     }
 }

@@ -10,6 +10,9 @@
 #    run's miss count, zero misses, `job_cached` telemetry events, and a
 #    byte-identical normalized summary.
 # 4. Shuts the server down over the wire.
+# 5. Starts a second server, leaves it idle, and sends it SIGINT: it must
+#    exit 0 within 5 s after 0 connections (the interrupt wakes the
+#    blocking accept loop, and the wake-up is not counted).
 #
 # Usage: scripts/serve_smoke.sh [path-to-gqed-binary]
 set -u
@@ -28,20 +31,24 @@ echo "== start server (ephemeral port, on-disk verdict store) =="
   >"$WORK/serve.out" 2>"$WORK/serve.err" &
 SERVE_PID=$!
 
-# The server prints "gqed serve: listening on HOST:PORT" once bound.
-ADDR=
-for _ in $(seq 1 100); do
-  ADDR="$(sed -n 's/^gqed serve: listening on //p' "$WORK/serve.out")"
-  [ -n "$ADDR" ] && break
-  kill -0 "$SERVE_PID" 2>/dev/null || {
-    echo "server exited before binding:"
-    cat "$WORK/serve.err"
-    exit 1
-  }
-  sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "server never reported its address"; exit 1; }
-echo "server at $ADDR"
+# Waits for the server SERVE_PID, writing to $WORK/$1.{out,err}, to print
+# "gqed serve: listening on HOST:PORT" once bound; sets ADDR.
+wait_for_address() {
+  ADDR=
+  for _ in $(seq 1 100); do
+    ADDR="$(sed -n 's/^gqed serve: listening on //p' "$WORK/$1.out")"
+    [ -n "$ADDR" ] && break
+    kill -0 "$SERVE_PID" 2>/dev/null || {
+      echo "server exited before binding:"
+      cat "$WORK/$1.err"
+      exit 1
+    }
+    sleep 0.1
+  done
+  [ -n "$ADDR" ] || { echo "server never reported its address"; exit 1; }
+  echo "server at $ADDR"
+}
+wait_for_address serve
 
 SUBMIT=(submit relu --addr "$ADDR" --batch smoke)
 
@@ -80,4 +87,24 @@ echo "== shutdown over the wire =="
 "$GQED" submit --shutdown --addr "$ADDR" || { echo "shutdown request failed"; exit 1; }
 wait "$SERVE_PID" || { echo "server exited non-zero"; exit 1; }
 SERVE_PID=
+
+echo "== SIGINT to an idle server (wakes the blocking accept) =="
+"$GQED" serve --addr 127.0.0.1:0 --engines bmc \
+  >"$WORK/idle.out" 2>"$WORK/idle.err" &
+SERVE_PID=$!
+wait_for_address idle
+kill -INT "$SERVE_PID"
+for _ in $(seq 1 50); do
+  kill -0 "$SERVE_PID" 2>/dev/null || break
+  sleep 0.1
+done
+if kill -0 "$SERVE_PID" 2>/dev/null; then
+  echo "FAIL: idle server still running 5 s after SIGINT"
+  exit 1
+fi
+wait "$SERVE_PID" || { echo "idle server exited non-zero after SIGINT"; cat "$WORK/idle.err"; exit 1; }
+SERVE_PID=
+grep -q 'shut down after 0 connection(s)' "$WORK/idle.err" \
+  || { echo "FAIL: idle server did not report 0 connections"; cat "$WORK/idle.err"; exit 1; }
+echo "OK: SIGINT stopped the idle server after 0 connections"
 echo "OK: serve smoke passed"
