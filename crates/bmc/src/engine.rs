@@ -486,28 +486,7 @@ impl<'a> BmcEngine<'a> {
     /// disjunction query (one solver call per frame instead of one per
     /// property); returns a replay-confirmed trace for the property that
     /// fired, if any.
-    pub fn check_any_bad_at(&mut self, frame: u32) -> Option<Trace> {
-        let t0 = Instant::now();
-        let r = self
-            .check_any_bad_at_inner(frame, &BmcLimits::default())
-            .expect("unlimited check cannot stop early");
-        self.wall += t0.elapsed();
-        r
-    }
-
-    /// [`BmcEngine::check_any_bad_at`] under resource limits.
-    pub fn check_any_bad_at_limited(
-        &mut self,
-        frame: u32,
-        limits: &BmcLimits,
-    ) -> Result<Option<Trace>, StopReason> {
-        let t0 = Instant::now();
-        let r = self.check_any_bad_at_inner(frame, limits);
-        self.wall += t0.elapsed();
-        r
-    }
-
-    fn check_any_bad_at_inner(
+    fn check_any_bad_at(
         &mut self,
         frame: u32,
         limits: &BmcLimits,
@@ -605,7 +584,7 @@ impl<'a> BmcEngine<'a> {
                 return BmcStatus::Stopped { frame, reason };
             }
             self.frame_queries += 1;
-            match self.check_any_bad_at_inner(frame, limits) {
+            match self.check_any_bad_at(frame, limits) {
                 Ok(Some(t)) => return BmcStatus::Violated(t),
                 Ok(None) => self.verified_clean = frame + 1,
                 Err(reason) => return BmcStatus::Stopped { frame, reason },

@@ -1,13 +1,13 @@
-//! A minimal in-tree JSON encoder, parser and validator.
+//! A minimal in-tree JSON encoder and parser.
 //!
 //! The telemetry stream is JSONL: one self-contained JSON object per line.
 //! The workspace is dependency-free by policy, so this module implements
 //! the small subset of JSON the campaign needs — objects with ordered
-//! keys, strings, integers, floats, booleans, nulls and arrays — plus a
-//! recursive-descent validator used by the test-suite to assert every
-//! emitted line is well-formed, and a value-producing parser
-//! ([`parse_json`]) used by the crash-recovery journal to replay records
-//! written by earlier runs.
+//! keys, strings, integers, floats, booleans, nulls and arrays — plus one
+//! recursive-descent parser ([`parse_json`]), used by the crash-recovery
+//! journal to replay records written by earlier runs and, through
+//! [`is_valid_json`], by the test-suite to assert every emitted line is
+//! well-formed.
 
 use std::fmt::Write as _;
 
@@ -224,36 +224,16 @@ fn escape_into(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Validates that `s` is exactly one well-formed JSON value (per RFC 8259
-/// grammar, minus `\u` surrogate-pair pairing checks). Used by the tests
-/// to assert every telemetry line parses.
+/// Whether `s` is exactly one well-formed JSON value: the grammar
+/// [`parse_json`] accepts, lone surrogates rejected. Used by the tests to
+/// assert every telemetry line parses.
 pub fn is_valid_json(s: &str) -> bool {
-    let b = s.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(b, &mut pos);
-    if !parse_value(b, &mut pos) {
-        return false;
-    }
-    skip_ws(b, &mut pos);
-    pos == b.len()
+    parse_json(s).is_some()
 }
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
     while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
         *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> bool {
-    match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => parse_string(b, pos),
-        Some(b't') => parse_lit(b, pos, b"true"),
-        Some(b'f') => parse_lit(b, pos, b"false"),
-        Some(b'n') => parse_lit(b, pos, b"null"),
-        Some(b'-' | b'0'..=b'9') => parse_number(b, pos),
-        _ => false,
     }
 }
 
@@ -263,63 +243,6 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &[u8]) -> bool {
         true
     } else {
         false
-    }
-}
-
-fn parse_object(b: &[u8], pos: &mut usize) -> bool {
-    *pos += 1; // '{'
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return true;
-    }
-    loop {
-        skip_ws(b, pos);
-        if !parse_string(b, pos) {
-            return false;
-        }
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return false;
-        }
-        *pos += 1;
-        skip_ws(b, pos);
-        if !parse_value(b, pos) {
-            return false;
-        }
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return true;
-            }
-            _ => return false,
-        }
-    }
-}
-
-fn parse_array(b: &[u8], pos: &mut usize) -> bool {
-    *pos += 1; // '['
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return true;
-    }
-    loop {
-        skip_ws(b, pos);
-        if !parse_value(b, pos) {
-            return false;
-        }
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return true;
-            }
-            _ => return false,
-        }
     }
 }
 
@@ -553,8 +476,7 @@ fn p_number(b: &[u8], pos: &mut usize) -> Option<JsonValue> {
     }
     // Integers wider than u64 (e.g. a large float rendered without a
     // fractional part): fall back to the closest float, as every other
-    // JSON parser does, so the grammar the validator accepts is exactly
-    // the grammar this parser accepts.
+    // JSON parser does, so every number the grammar admits parses.
     text.parse::<f64>().ok().map(JsonValue::Float)
 }
 
@@ -635,6 +557,7 @@ mod tests {
             "\"\\u12g4\"",
             "{} {}",
             "\u{1}",
+            r#""\ud83d""#,
         ] {
             assert!(!is_valid_json(bad), "should reject: {bad}");
         }

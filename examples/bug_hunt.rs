@@ -7,8 +7,8 @@
 //!   cargo run --release --example bug_hunt -- crc32   # pick a design
 //!   cargo run --release --example bug_hunt -- --all   # the full suite
 //!
-//! This is the interactive sibling of the Table 2 generator in
-//! `gqed-bench` (`cargo run -p gqed-bench --bin table2`).
+//! This is the interactive sibling of the Table 2 generator
+//! (`cargo run --release --bin gqed -- table2`).
 
 use gqed::core::theory::evaluation_bound;
 use gqed::core::{check_design, CheckKind, Verdict};

@@ -17,7 +17,7 @@ run() {
   local name="$1"
   shift
   echo "== $name =="
-  cargo run --release -q -p gqed-bench --bin "$name" -- "$@" | tee "$out/$name.md"
+  target/release/gqed "$name" "$@" | tee "$out/$name.md"
 }
 
 echo "== campaign (full obligation sweep, $jobs workers) =="

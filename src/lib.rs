@@ -21,6 +21,7 @@
 //! | [`ir`] | `gqed-ir` | word-level IR, simulator, bit-blaster, VCD |
 //! | [`sat`] | `gqed-sat` | the CDCL SAT solver |
 //! | [`logic`] | `gqed-logic` | AIG, CNF, Tseitin |
+//! | [`evaluation`] | `gqed` | shared pieces of the `gqed table1`…`obscan` evaluation subcommands |
 //!
 //! # Quickstart
 //!
@@ -53,6 +54,8 @@ pub use gqed_ir as ir;
 pub use gqed_logic as logic;
 pub use gqed_pdr as pdr;
 pub use gqed_sat as sat;
+
+pub mod evaluation;
 
 /// Convenience re-exports of the types most applications need.
 pub mod prelude {

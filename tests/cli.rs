@@ -1,6 +1,7 @@
-//! The `gqed` command line: malformed flags are usage errors (exit 2, a
-//! message naming the flag, never a panic), and the position of the
-//! operands among the flags does not change what a campaign computes.
+//! The `gqed` command line: malformed flags and unknown designs are usage
+//! errors (exit 2, a message naming the flag or operand, never a panic),
+//! the position of the operands among the flags does not change what a
+//! campaign computes, and the evaluation subcommands run.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -38,19 +39,24 @@ fn unparsable_flag_values_are_usage_errors_not_panics() {
 
 #[test]
 fn misspelt_and_value_less_flags_are_named() {
-    for (line, flag) in [
+    for (line, offender) in [
         ("campaign relu --job 2", "--job"),
         ("campaign relu --flow gqed --jobs", "--jobs"),
+        ("table2 relu --jobs x", "--jobs"),
+        ("table2 nosuch", "nosuch"),
     ] {
         let out = gqed(&line.split(' ').collect::<Vec<_>>());
         let err = stderr(&out);
         assert_eq!(out.status.code(), Some(2), "gqed {line}: {err}");
+        assert!(!err.contains("panicked"), "gqed {line}: {err}");
         // The first line is the diagnosis; the usage lines after it list
         // every flag, so only the first one can name the offender.
         let first = err.lines().next().unwrap_or_default();
         assert!(
-            first.split_whitespace().any(|w| w == flag),
-            "gqed {line}: first stderr line should name {flag}: {err}"
+            first
+                .split_whitespace()
+                .any(|w| w.trim_matches(['\'', ';']) == offender),
+            "gqed {line}: first stderr line should name {offender}: {err}"
         );
     }
 }
@@ -89,4 +95,15 @@ fn operands_may_come_before_or_after_the_flags() {
     assert_eq!(sa, sb, "summaries differ with the operand moved");
     std::fs::remove_file(a).ok();
     std::fs::remove_file(b).ok();
+}
+
+#[test]
+fn table4_prints_the_headline() {
+    let out = gqed(&["table4"]);
+    assert!(out.status.success(), "gqed table4: {}", stderr(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.lines().any(|l| l.starts_with("headline: ")),
+        "gqed table4 printed no headline: {stdout}"
+    );
 }

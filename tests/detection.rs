@@ -3,7 +3,7 @@
 //! should catch them — and missed by the flows it says should miss them.
 //!
 //! The complete 48-bug × 3-flow sweep lives in the Table 2 generator
-//! (`cargo run -p gqed-bench --bin table2`); this suite keeps one
+//! (`cargo run --release --bin gqed -- table2`); this suite keeps one
 //! representative per (design-family, bug-class) cell so `cargo test`
 //! stays minutes, not hours.
 
