@@ -149,8 +149,8 @@ pub struct BmcStats {
     /// Cumulative number of per-frame queries solved by
     /// [`BmcEngine::try_check_up_to`] over this engine's lifetime. A warm
     /// resume does not re-query clean frames, so this counts real solving
-    /// work — the deterministic "frames solved from zero" metric the
-    /// bench regression gate compares cold vs. warm.
+    /// work — the deterministic "frames solved from zero" metric
+    /// `tests/pipeline_gates.rs` compares cold vs. warm.
     pub frame_queries: u64,
     /// SAT solver search statistics.
     pub solver: SolverStats,

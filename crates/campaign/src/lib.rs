@@ -27,7 +27,6 @@
 
 #![warn(missing_docs)]
 pub mod api;
-pub mod bench;
 pub mod fleet;
 pub mod journal;
 pub mod json;
@@ -40,9 +39,6 @@ pub mod store;
 pub mod telemetry;
 
 pub use api::{ApiError, BatchRequest, BatchResponse, ObligationSpec, SCHEMA_VERSION};
-pub use bench::{
-    run_bench, run_pdr_probe, run_simplify_probe, BenchReport, BenchRun, PdrProbe, SimplifyProbe,
-};
 pub use fleet::{chaos_kill_plan, run_worker, FleetConfig};
 pub use journal::{
     crc32, manifest_crc, read_journal, FaultPlan, Journal, JournalReplay, KillFault,

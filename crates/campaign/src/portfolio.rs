@@ -94,8 +94,8 @@ pub fn default_portfolio() -> Vec<EngineId> {
 /// run-to-run noise. Designs out of PDR's reach burn the cap once (the
 /// side drops out at its first capped property) and yield to bounded
 /// BMC; on the default-size catalogue designs that costs roughly
-/// 30–45 s of solver time per clean obligation. The `gqed bench` PDR
-/// probe gates its fixture's query count against this cap in CI.
+/// 30–45 s of solver time per clean obligation. `tests/pipeline_gates.rs`
+/// gates a fixed fixture's query count against this cap.
 pub const PDR_QUERY_CAP: u64 = 100_000;
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 //! bounded-clean certificate from the BMC side is still worth waiting
 //! for. When the portfolio is exactly `[bmc]` the obligation runs on the
 //! plain session path instead (fully deterministic certificates, used by
-//! the table generators and the bench).
+//! the table generators and `tests/pipeline_gates.rs`).
 //!
 //! Three robustness mechanisms wrap the queue (all optional):
 //!
@@ -81,8 +81,8 @@ pub struct CampaignConfig {
     /// [`CheckSession`] of a budget/deadline-stopped obligation so its
     /// retry resumes at the stopped frame instead of re-synthesizing,
     /// re-bitblasting and re-solving from frame 0. Off = every attempt
-    /// pays the full encoding cost (the cold baseline the bench
-    /// compares against).
+    /// pays the full encoding cost (the cold baseline
+    /// `tests/pipeline_gates.rs` pins the warm pipeline against).
     pub warm_start: bool,
     /// Clause-arena byte budget per solver. When the learnt-clause arena
     /// exceeds it the solver first sheds learnt clauses; if still over,
@@ -96,8 +96,8 @@ pub struct CampaignConfig {
     pub interrupt: Option<Arc<AtomicBool>>,
     /// SAT-core inprocessing (subsumption, bounded variable elimination,
     /// vivification) on every session solver. On by default; a pure
-    /// performance knob — verdicts never depend on it — exposed so the
-    /// bench can run matched on/off campaigns.
+    /// performance knob — verdicts never depend on it — exposed so
+    /// `tests/pipeline_gates.rs` can run matched on/off campaigns.
     pub inprocessing: bool,
 }
 
@@ -117,7 +117,7 @@ impl Default for CampaignConfig {
     }
 }
 
-/// Builder-style setters so every caller — CLI, bench, service, tests —
+/// Builder-style setters so every caller — CLI, service, tests —
 /// derives its configuration from the same [`Default`] instead of
 /// assembling the struct field by field (which let a new field silently
 /// default differently per caller).
@@ -300,8 +300,8 @@ pub struct JobRecord {
     pub pdr_stats: Option<PdrStats>,
     /// Total per-frame BMC queries solved across *all* attempts of this
     /// obligation. Cold restarts re-solve every frame from zero on each
-    /// retry; warm resumes do not — this is the deterministic metric the
-    /// bench regression gate compares.
+    /// retry; warm resumes do not — this is the deterministic metric
+    /// `tests/pipeline_gates.rs` compares cold vs. warm.
     pub frames_solved: u64,
     /// Whether a conclusive verdict contradicts the catalogue ground
     /// truth.
@@ -507,7 +507,7 @@ impl Shared<'_> {
 
 /// The single campaign entry point, builder style.
 ///
-/// Every way of running a campaign — one-shot CLI, bench, the serve
+/// Every way of running a campaign — one-shot CLI, the serve
 /// loop, journaled resumption, store-backed re-verification — drives the
 /// same path:
 ///
@@ -1793,6 +1793,7 @@ fn add_pdr_stats(acc: &mut PdrStats, s: &PdrStats) {
     acc.generalize_drops += s.generalize_drops;
     acc.propagated += s.propagated;
     acc.queries += s.queries;
+    acc.recheck_propagations += s.recheck_propagations;
     acc.recheck_failures += s.recheck_failures;
     acc.solver.decisions += s.solver.decisions;
     acc.solver.propagations += s.solver.propagations;

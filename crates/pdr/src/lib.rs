@@ -87,9 +87,10 @@ pub struct Invariant {
     pub clauses: Vec<Vec<StateBitLit>>,
 }
 
-/// Effort counters of a PDR run, for telemetry and the bench gate. All
-/// counters except the solver statistics are deterministic for a given
-/// model (the engine is single-threaded and seeds nothing from time).
+/// Effort counters of a PDR run, for telemetry and the exact-counter gate
+/// in `tests/pipeline_gates.rs`. All counters except the solver
+/// statistics are deterministic for a given model (the engine is
+/// single-threaded and seeds nothing from time).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PdrStats {
     /// Frames on the ladder when the run ended.
@@ -105,6 +106,10 @@ pub struct PdrStats {
     pub propagated: u64,
     /// SAT queries issued.
     pub queries: u64,
+    /// Unit propagations the independent re-check ([`check_invariant`])
+    /// of the final invariant spent: the cost of certifying a `Proven`
+    /// verdict, 0 when no invariant was re-checked.
+    pub recheck_propagations: u64,
     /// Proven invariants that failed the independent re-check (always 0
     /// unless the engine itself is broken; counted, not silently dropped).
     pub recheck_failures: u64,
@@ -765,7 +770,8 @@ impl<'a> Pdr<'a> {
                 if fixpoint {
                     // F_i == F_{i+1}: inductive. Extract and re-check.
                     let invariant = self.extract_invariant(i + 1);
-                    if check_invariant(ctx, ts, bad_index, &invariant).is_ok() {
+                    if let Ok(recheck) = check_invariant(ctx, ts, bad_index, &invariant) {
+                        self.stats.recheck_propagations += recheck.propagations;
                         return PdrVerdict::Proven {
                             frames: k,
                             invariant,
@@ -814,13 +820,14 @@ impl<'a> Pdr<'a> {
 /// 3. **safety** — `INV ∧ C ∧ bad` is unsatisfiable.
 ///
 /// The encoding is rebuilt from the transition system, so a bug in the
-/// engine's frame bookkeeping cannot vouch for its own invariant.
+/// engine's frame bookkeeping cannot vouch for its own invariant. On
+/// success, returns the search statistics of the re-check's own solver.
 pub fn check_invariant(
     ctx: &Context,
     ts: &TransitionSystem,
     bad_index: usize,
     inv: &Invariant,
-) -> Result<(), String> {
+) -> Result<SolverStats, String> {
     // Map (state, bit) → global bit index.
     let mut offset = Vec::with_capacity(ts.states.len());
     let mut total = 0usize;
@@ -892,7 +899,7 @@ pub fn check_invariant(
         stop => return Err(format!("consecution check stopped: {stop:?}")),
     }
     match enc.solver.solve_bounded(&[enc.bad_lit], u64::MAX) {
-        SolveOutcome::Unsat => Ok(()),
+        SolveOutcome::Unsat => Ok(enc.solver.stats()),
         SolveOutcome::Sat => Err("invariant does not exclude the bad states".into()),
         stop => Err(format!("safety check stopped: {stop:?}")),
     }

@@ -13,11 +13,20 @@ jobs=$(nproc 2>/dev/null || echo 2)
 echo "== building (release) =="
 cargo build --release --workspace
 
+# Writes one evaluation artifact (figures as CSV, tables as Markdown).
+# A failing subcommand does not stop the script: its exit status is
+# recorded, the remaining artifacts are still written, and the script
+# exits 1 at the end naming every failed one.
+failed=()
 run() {
-  local name="$1"
+  local name="$1" ext=md status=0
   shift
+  case "$name" in fig*) ext=csv ;; esac
   echo "== $name =="
-  target/release/gqed "$name" "$@" | tee "$out/$name.md"
+  target/release/gqed "$name" "$@" | tee "$out/$name.$ext" || status=$?
+  if ((status)); then
+    failed+=("$name (exit $status)")
+  fi
 }
 
 echo "== campaign (full obligation sweep, $jobs workers) =="
@@ -57,9 +66,10 @@ run fig1
 run fig2
 run ablation
 
-echo "== pipeline bench (cold vs warm) =="
-cargo run --release -q --bin gqed -- bench \
-  --out "$out/BENCH_pipeline.json" | tee "$out/bench.txt"
-
 echo
+if ((${#failed[@]})); then
+  echo "artifacts written to $out/; failed:" >&2
+  printf '  %s\n' "${failed[@]}" >&2
+  exit 1
+fi
 echo "all artifacts written to $out/"

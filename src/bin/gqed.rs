@@ -110,10 +110,6 @@
 //! gqed worker                       fleet worker child (internal): solves
 //!                                   single-obligation work_request lines from
 //!                                   stdin, answers on stdout (EXPERIMENTS.md)
-//! gqed bench [opts]                 cold-vs-warm pipeline benchmark
-//!      --quick                      small suite for the CI smoke step
-//!      --out <file>                 report path (default BENCH_pipeline.json)
-//!      --telemetry <file>           write attempt-level JSONL telemetry
 //! gqed productivity [opts]          evaluate the person-day cost model
 //!      --features <n>               features of the case study (default 120)
 //!      --properties <n>             properties of the case study (default 160)
@@ -179,7 +175,6 @@ const FLEET: &str =
 
 const CHECK: &[&str] = &["[--bug id] [--flow gqed|aqed|conv] [--bound n] [--vcd file]"];
 const EXPORT: &[&str] = &["[--bug id] [--wrapped] [--format btor2|dot|smt2] [--frame k]"];
-const BENCH: &[&str] = &["[--quick] [--out file] [--telemetry file]"];
 const PRODUCTIVITY: &[&str] = &["[--features n] [--properties n]"];
 const CAMPAIGN: &[&str] = &[
     BATCH_KNOBS,
@@ -219,7 +214,6 @@ const COMMANDS: &[Cmd] = &[
     cmd("serve", "", SERVE, cmd_serve),
     cmd("submit", "[<design>…|--all]", SUBMIT, cmd_submit),
     cmd("worker", "", &[], cmd_worker),
-    cmd("bench", "", BENCH, cmd_bench),
     cmd("productivity", "", PRODUCTIVITY, cmd_productivity),
     cmd("table1", "", &[], cmd_table1),
     cmd("table2", "[<design>]", &["[--jobs n]"], cmd_table2),
@@ -698,7 +692,7 @@ fn parse_size(v: &str) -> Option<usize> {
     digits
         .parse::<usize>()
         .ok()
-        .and_then(|n| n.checked_shl(shift))
+        .and_then(|n| n.checked_mul(1 << shift))
 }
 
 /// Raw SIGINT/SIGTERM handling (no libc dependency): the first signal
@@ -1125,57 +1119,6 @@ fn cmd_submit(args: &Args) {
 
 fn cmd_worker(_: &Args) {
     exit(gqed::campaign::run_worker());
-}
-
-fn cmd_bench(args: &Args) {
-    let quick = args.has("--quick");
-    let out = args.value("--out").unwrap_or("BENCH_pipeline.json");
-    let telemetry = open_telemetry(args);
-    eprintln!(
-        "bench: {} suite, cold then warm…",
-        if quick { "quick" } else { "full" }
-    );
-    let report = gqed::campaign::run_bench(quick, &telemetry);
-    let written = std::fs::write(out, report.to_json().render() + "\n");
-    or_exit(written, format!("cannot write {out}"));
-    for run in [&report.cold, &report.warm] {
-        println!(
-            "{:4}  {:>8.2?}  {:>6} frames  {:>8.1} frames/s  {:>8} conflicts  {:>9} peak arena B  {} resumes",
-            run.mode,
-            run.wall,
-            run.frames_solved,
-            run.frames_per_sec(),
-            run.conflicts,
-            run.peak_arena_bytes,
-            run.session_resumes
-        );
-    }
-    println!(
-        "frames saved warm vs cold: {} ({} obligations); report: {out}",
-        report
-            .cold
-            .frames_solved
-            .saturating_sub(report.warm.frames_solved),
-        report.obligations
-    );
-    let sp = &report.simplify;
-    println!(
-        "simplify probe: {} vs {} frames ({} vs {} conflicts) inprocessing on/off; \
-         {} rounds, {} vars eliminated, {} subsumed, {} strengthened, {} vivified",
-        sp.frames_on,
-        sp.frames_off,
-        sp.conflicts_on,
-        sp.conflicts_off,
-        sp.simplify_rounds,
-        sp.eliminated_vars,
-        sp.subsumed_clauses,
-        sp.strengthened_clauses,
-        sp.vivified_clauses
-    );
-    if let Some(reason) = report.regression() {
-        eprintln!("REGRESSION: {reason}");
-        exit(1);
-    }
 }
 
 fn cmd_productivity(args: &Args) {

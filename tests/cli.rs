@@ -44,6 +44,13 @@ fn misspelt_and_value_less_flags_are_named() {
         ("campaign relu --flow gqed --jobs", "--jobs"),
         ("table2 relu --jobs x", "--jobs"),
         ("table2 nosuch", "nosuch"),
+        // 2^64 and 2^64 + 1024 bytes: an overflowing size is rejected,
+        // never wrapped.
+        ("campaign relu --mem-limit 17179869184G", "--mem-limit"),
+        (
+            "campaign relu --mem-limit 18014398509481985K",
+            "--mem-limit",
+        ),
     ] {
         let out = gqed(&line.split(' ').collect::<Vec<_>>());
         let err = stderr(&out);

@@ -12,7 +12,8 @@ use gqed::ha::all_designs;
 
 /// Every clean design passes G-QED at a moderate bound. False positives
 /// overwhelmingly manifest shallowly (a couple of transactions), so this
-/// bound is meaningful; the bench harness re-runs at full depth.
+/// bound is meaningful; `gqed table3` re-checks every clean design at
+/// its recommended bound (capped at 12).
 #[test]
 fn no_false_positives_on_any_clean_design() {
     for entry in all_designs() {
@@ -63,8 +64,8 @@ fn aqed_sound_on_non_interfering_designs() {
 }
 
 /// …and unsound on interfering ones: the false alarm the paper opens
-/// with. (One representative design keeps the test fast; the bench
-/// harness demonstrates it across the suite.)
+/// with. (One representative design keeps the test fast; `gqed table2`
+/// demonstrates it across the suite.)
 #[test]
 fn aqed_false_alarms_on_interfering_designs() {
     let entry = all_designs()
